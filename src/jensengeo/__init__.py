@@ -2,7 +2,8 @@
 distance bounds, for finite probability distributions and quantum states.
 
 Everything here is a pure function of immutable values; concurrent use
-is safe, and summation orders are fixed so results are bit-stable.
+is safe. Results are deterministic for a given input and numpy build, and
+each entry of a divergence matrix equals the scalar call on its pair.
 """
 
 from .classical import (

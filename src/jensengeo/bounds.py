@@ -46,7 +46,7 @@ from .classical import (
     check_alpha,
     total_variation,
 )
-from .jensen import jd_alpha, qjd_alpha
+from .jensen import _gaps, jd_alpha, qjd_alpha
 from .quantum import as_density, trace_distance
 
 __all__ = [
@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# cap on grid^2 * n, the entries of each stacked array of diagram samples
+DIAGRAM_MAX_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,8 @@ def upper_Un(p, q, alpha: float) -> float:
     a = check_alpha(alpha)
     if a == 1.0:
         return (LN2 / 2.0) * total_variation(p, q)
-    coeff = (0.5 - 2.0**-a) / (a - 1.0)
+    # (1/2 - 2^-a) / (a - 1), without its cancellation near a = 1
+    coeff = -0.5 * math.expm1(-(a - 1.0) * LN2) / (a - 1.0)
     return coeff * alpha_norm_power(p, q, a)
 
 
@@ -295,7 +298,8 @@ def upper_curve_value(v: float, alpha: float, n: int) -> float:
         return upper_U2(v, a)
     if a == 1.0:
         return (LN2 / 2.0) * v
-    return ((v / 2.0) ** a - 2.0 * (v / 4.0) ** a) / (a - 1.0)
+    # ((v/2)^a - 2 (v/4)^a) / (a - 1), without its cancellation near a = 1
+    return -((v / 2.0) ** a) * math.expm1(-(a - 1.0) * LN2) / (a - 1.0)
 
 
 def homotopy_pair(t: float, v: float, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +330,25 @@ def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
         raise ValueError("need n >= 2")
     if grid < 2:
         raise ValueError("need grid >= 2")
+    if grid * grid * n > DIAGRAM_MAX_ENTRIES:
+        raise ValueError(
+            f"grid^2 * n = {grid * grid * n} exceeds the cap of {DIAGRAM_MAX_ENTRIES} entries"
+        )
     vs = np.linspace(0.0, 2.0, grid)
     ts = np.linspace(0.0, 1.0, grid)
     curve_lower = [(float(v), lower_L(float(v), a)) for v in vs]
     curve_upper = [(float(v), upper_curve_value(float(v), a, n)) for v in vs]
-    samples = []
-    for t in ts:
-        for v in vs:
-            p, q = homotopy_pair(float(t), float(v), n)
-            v_actual = total_variation(p, q)
-            samples.append((float(t), v_actual, jd_alpha(p, q, a).value))
+    # the homotopy_pair samples of every (t, v), t major, stacked as P and Q
+    PL, QL = np.stack([lower_witness_pair(float(v), n) for v in vs], axis=1)
+    PU, QU = np.stack([upper_witness_pair(float(v), n) for v in vs], axis=1)
+    t = ts[:, None, None]
+    P = ((1.0 - t) * PL + t * PU).reshape(-1, n)
+    Q = ((1.0 - t) * QL + t * QU).reshape(-1, n)
+    m = len(P)
+    pairs = np.arange(2 * m).reshape(2, m).T
+    values = _gaps(np.concatenate([P, Q]), pairs, np.full(pairs.shape, 0.5), a)
+    v_actual = np.sum(np.abs(P - Q), axis=1)
+    samples = list(zip(np.repeat(ts, grid).tolist(), v_actual.tolist(), values.tolist()))
     return DiagramPoints(
         curve_lower=curve_lower,
         curve_upper=curve_upper,

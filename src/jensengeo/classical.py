@@ -100,23 +100,25 @@ def random_distribution(n: int, rng: np.random.Generator) -> Distribution:
     return as_distribution(rng.dirichlet(np.ones(n)))
 
 
-def shannon_entropy(p) -> float:
-    """H(P) = -sum_i p_i ln p_i, in [0, ln n]."""
-    probs = as_distribution(p).probs
-    pos = probs[probs > 0.0]
-    return float(-np.dot(pos, np.log(pos)))
+def _entropies(weights: np.ndarray, a: float) -> np.ndarray:
+    """Order-a entropies of nonnegative weight vectors along the last axis.
 
-
-def _alpha_entropy_of(weights: np.ndarray, a: float) -> float:
-    """-sum_i w_i expm1((a - 1) ln w_i) / (a - 1) over the positive weights.
-
-    Equal to (1 - sum_i w_i^a) / (a - 1) when the weights sum to 1, but
+    -sum_i w_i ln w_i at a = 1, else -sum_i w_i expm1((a - 1) ln w_i) / (a - 1),
+    which equals (1 - sum_i w_i^a) / (a - 1) when the weights sum to 1 but
     without the cancellation that form suffers near a = 1: each term is
     computed to full relative precision, so the result is continuous
-    across a = 1 and independent of the order of the weights.
+    across a = 1 and independent of the order of the weights. Zero
+    weights contribute nothing (0 ln 0 = 0).
     """
-    pos = weights[weights > 0.0]
-    return float(-np.dot(pos, np.expm1((a - 1.0) * np.log(pos))) / (a - 1.0))
+    logs = np.log(np.where(weights > 0.0, weights, 1.0))
+    if a == 1.0:
+        return -(weights * logs).sum(axis=-1)
+    return -(weights * np.expm1((a - 1.0) * logs)).sum(axis=-1) / (a - 1.0)
+
+
+def shannon_entropy(p) -> float:
+    """H(P) = -sum_i p_i ln p_i, in [0, ln n]."""
+    return float(_entropies(as_distribution(p).probs, 1.0))
 
 
 def alpha_entropy(p, alpha: float) -> float:
@@ -128,10 +130,7 @@ def alpha_entropy(p, alpha: float) -> float:
     not a numerical approximation.
     """
     a = check_alpha(alpha)
-    dist = as_distribution(p)
-    if a == 1.0:
-        return shannon_entropy(dist)
-    return _alpha_entropy_of(dist.probs, a)
+    return float(_entropies(as_distribution(p).probs, a))
 
 
 def binary_alpha_entropy(p: float, alpha: float) -> float:
@@ -142,13 +141,18 @@ def binary_alpha_entropy(p: float, alpha: float) -> float:
     return alpha_entropy(np.array([p, 1.0 - p]), alpha)
 
 
+def _kl(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """D(P||Q) along the last axis; +inf where supp(P) escapes supp(Q)."""
+    support = P > 0.0
+    escape = (support & (Q == 0.0)).any(axis=-1)
+    support &= Q > 0.0
+    logs = np.log(np.where(support, P, 1.0) / np.where(support, Q, 1.0))
+    return np.where(escape, math.inf, (P * logs).sum(axis=-1))
+
+
 def kl_divergence(p, q) -> float:
     """D(P||Q) = sum_i p_i ln(p_i / q_i); +inf when supp(P) escapes supp(Q)."""
-    P, Q = _aligned(p, q)
-    mask = P > 0.0
-    if np.any(Q[mask] == 0.0):
-        return math.inf
-    return float(np.dot(P[mask], np.log(P[mask] / Q[mask])))
+    return float(_kl(*_aligned(p, q)))
 
 
 def total_variation(p, q) -> float:

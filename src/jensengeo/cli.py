@@ -23,29 +23,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, jensen, quantum
-from .classical import as_distribution, random_distribution, shannon_entropy, alpha_entropy
+from .classical import alpha_entropy, as_distribution, random_distribution
 from .tolerances import tolerance_scale
-
-SUBCOMMANDS = (
-    "entropy",
-    "jd",
-    "qjd",
-    "jd-general",
-    "qjd-general",
-    "redundancy",
-    "identities",
-    "bounds",
-    "chain",
-    "diagram",
-    "check-negative-type",
-    "embed",
-    "cayley-menger",
-    "counterexample",
-    "quadruple-cm",
-    "power-integral",
-    "holevo",
-    "gen",
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -171,11 +150,10 @@ def build_parser() -> _Parser:
     _add_input(s, "p", "probability vector")
     _add_input(s, "rho", "density matrix")
 
-    for name, help_ in (("jd", "Jensen divergence of two distributions"),):
-        s = new(name, help_)
-        s.add_argument("--alpha", type=float, default=1.0)
-        _add_input(s, "p", "first distribution")
-        _add_input(s, "q", "second distribution")
+    s = new("jd", "Jensen divergence of two distributions")
+    s.add_argument("--alpha", type=float, default=1.0)
+    _add_input(s, "p", "first distribution")
+    _add_input(s, "q", "second distribution")
 
     s = new("qjd", "quantum Jensen divergence of two states")
     s.add_argument("--alpha", type=float, default=1.0)
@@ -259,8 +237,6 @@ def _cmd_entropy(args):
     if (p is None) == (rho is None):
         raise CliError("pass exactly one of --p/--p-file or --rho/--rho-file")
     if p is not None:
-        if args.alpha == 1.0:
-            return {"value": shannon_entropy(as_distribution(p))}
         return {"value": alpha_entropy(as_distribution(p), args.alpha)}
     return {"value": quantum.alpha_entropy_q(quantum.as_density(rho), args.alpha)}
 
@@ -346,14 +322,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_chain(args):
-    ch = bounds_mod.chain_check(_vector(args, "p"), _vector(args, "q"), args.alpha)
-    return {
-        "v_sq_over_8": ch.v_sq_over_8,
-        "alpha_v_sq_over_8": ch.alpha_v_sq_over_8,
-        "jd": ch.jd,
-        "alpha_norm_upper": ch.alpha_norm_upper,
-        "tv_upper": ch.tv_upper,
-    }
+    return bounds_mod.chain_check(_vector(args, "p"), _vector(args, "q"), args.alpha)._asdict()
 
 
 def _cmd_diagram(args):
@@ -462,6 +431,7 @@ _HANDLERS = {
     "holevo": _cmd_holevo,
     "gen": _cmd_gen,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run(argv=None) -> int:
@@ -496,3 +466,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -22,8 +22,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .classical import Distribution, as_distribution, check_alpha
-from .jensen import jd_alpha, qjd_alpha
-from .quantum import DensityMatrix, as_density
+from .jensen import _gaps, _stack, _validate_points
+from .quantum import _is_state, as_density
 from .tolerances import tolerance_scale
 
 __all__ = [
@@ -144,22 +144,13 @@ def divergence_matrix(points, alpha: float = 1.0) -> DistanceMatrix:
     a = check_alpha(alpha)
     if len(points) < 2:
         raise ValueError("need at least two points")
-    first = points[0]
-    quantum = isinstance(first, (DensityMatrix,)) or (
-        isinstance(first, dict) and "entries" in first
-    ) or (not isinstance(first, (Distribution, dict)) and np.asarray(first).ndim == 2)
-    if quantum:
-        pts = [as_density(p) for p in points]
-        div = lambda x, y: qjd_alpha(x, y, a).value
-    else:
-        pts = [as_distribution(p) for p in points]
-        div = lambda x, y: jd_alpha(x, y, a).value
-    n = len(pts)
+    n = len(points)
+    i, j = np.triu_indices(n, k=1)
+    pairs = np.stack([i, j], axis=1)
+    values = _gaps(_stack(_validate_points(points)[1]), pairs, np.full(pairs.shape, 0.5), a)
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            # tiny negative float residue near coincident points is floored
-            D[i, j] = D[j, i] = max(div(pts[i], pts[j]), 0.0)
+    # tiny negative float residue near coincident points is floored
+    D[i, j] = D[j, i] = np.maximum(values, 0.0)
     return DistanceMatrix(d=D)
 
 
@@ -177,6 +168,30 @@ def default_negative_type_tol(D: np.ndarray) -> float:
     return 1e-9 * D.shape[0] * max(float(np.max(np.abs(D))), 0.0) * tolerance_scale()
 
 
+def _centred(dmat, tol: float | None):
+    """The negative-type report and the centred eigenpairs it rests on.
+
+    Returns (dm, report, W, w, V): W is ``sum_zero_basis``, and (w, V)
+    the ascending eigenpairs of M = -1/2 W^T D W, the centred Gram matrix
+    G = -1/2 J D J in that basis (W^T J = W^T, so J D J is never formed).
+    """
+    dm = as_distance_matrix(dmat)
+    if tol is None:
+        tol = default_negative_type_tol(dm.d)
+    W = sum_zero_basis(dm.n)
+    M = -0.5 * (W.T @ dm.d @ W)
+    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    min_eig = float(w[0]) if len(w) else 0.0  # one point spans no sum-zero direction
+    witness = None
+    if min_eig < -tol:
+        c = W @ V[:, 0]
+        witness = c / np.linalg.norm(c)
+    report = NegativeTypeReport(
+        is_negative_type=witness is None, min_eigenvalue=min_eig, tol=tol, witness_vector=witness
+    )
+    return dm, report, W, w, V
+
+
 def negative_type_check(dmat, tol: float | None = None) -> NegativeTypeReport:
     """Certify that c^T D c <= 0 for every sum-zero c, spectrally.
 
@@ -186,28 +201,7 @@ def negative_type_check(dmat, tol: float | None = None) -> NegativeTypeReport:
     orthonormal basis, and on failure the offending eigenvector is
     returned as an explicit violating coefficient vector.
     """
-    dm = as_distance_matrix(dmat)
-    D = dm.d
-    n = dm.n
-    if tol is None:
-        tol = default_negative_type_tol(D)
-    if n == 1:
-        return NegativeTypeReport(is_negative_type=True, min_eigenvalue=0.0, tol=tol)
-    J = np.eye(n) - np.ones((n, n)) / n
-    G = -0.5 * (J @ D @ J)
-    G = (G + G.T) / 2.0
-    W = sum_zero_basis(n)
-    M = W.T @ G @ W
-    M = (M + M.T) / 2.0
-    w, V = np.linalg.eigh(M)
-    min_eig = float(w[0])
-    if min_eig >= -tol:
-        return NegativeTypeReport(is_negative_type=True, min_eigenvalue=min_eig, tol=tol)
-    c = W @ V[:, 0]
-    c = c / np.linalg.norm(c)
-    return NegativeTypeReport(
-        is_negative_type=False, min_eigenvalue=min_eig, tol=tol, witness_vector=c
-    )
+    return _centred(dmat, tol)[1]
 
 
 def cayley_menger_det(dmat) -> float:
@@ -253,29 +247,23 @@ def menger_embeddability(dmat, tol: float | None = None) -> bool:
 def embed(dmat, tol: float | None = None) -> Embedding:
     """Isometric embedding of sqrt(D) into Euclidean space by centered-Gram factorization.
 
-    Eigendecomposes G = -1/2 J D J, keeps the eigenpairs above float
-    noise, and returns coordinates X = V sqrt(L) whose pairwise squared
-    distances reproduce D. Raises NegativeTypeError (with the violating
-    coefficient vector attached) when no embedding exists.
+    Reuses the centred eigenpairs (w, V) of ``negative_type_check``, keeps
+    those above float noise, and returns coordinates X = W V sqrt(w) whose
+    pairwise squared distances reproduce D. Raises NegativeTypeError (with
+    the violating coefficient vector attached) when no embedding exists.
     """
-    report = negative_type_check(dmat, tol=tol)
+    dm, report, W, w, V = _centred(dmat, tol)
     if not report.is_negative_type:
         raise NegativeTypeError(report)
-    dm = as_distance_matrix(dmat)
-    D = dm.d
-    n = dm.n
-    J = np.eye(n) - np.ones((n, n)) / n
-    G = -0.5 * (J @ D @ J)
-    G = (G + G.T) / 2.0
-    w, V = np.linalg.eigh(G)
-    keep = w > 1e-10 * max(float(np.max(np.abs(w))), 1.0)
+    # G = (W V) diag(w) (W V)^T, and W V has orthonormal columns
+    keep = w > 1e-10 * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
     if not np.any(keep):
-        coords = np.zeros((n, 1))
+        coords = np.zeros((dm.n, 1))
     else:
-        coords = V[:, keep] * np.sqrt(w[keep])
+        coords = (W @ V[:, keep]) * np.sqrt(w[keep])
     sq = np.sum(coords**2, axis=1)
     recon = sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T)
-    err = float(np.max(np.abs(recon - D)))
+    err = float(np.max(np.abs(recon - dm.d)))
     return Embedding(coords=coords, reconstruction_error=err)
 
 
@@ -316,19 +304,17 @@ def counterexample_energy(alpha: float) -> float:
     """Triangle defect JD_a(P, R) - 2 JD_a(P, Q) - 2 JD_a(Q, R) on the canonical triple.
 
     P = (0,1), Q = (1/2,1/2), R = (1,0). A positive value means
-    sqrt(JD_a) fails the triangle inequality on the triple. At a = 1 the
-    closed form is 0/0 and the defect is evaluated directly from Shannon
-    entropies (its value is 3 ln 3 - 5 ln 2, about -0.16990).
+    sqrt(JD_a) fails the triangle inequality on the triple. It equals
+    ``counterexample_numerator(a) / (a - 1)``, evaluated without
+    cancellation near a = 1, where it takes its limit 3 ln 3 - 5 ln 2
+    (about -0.16990).
     """
     a = check_alpha(alpha)
-    if a == 1.0:
-        p, q, r = (as_distribution(x) for x in COUNTEREXAMPLE_TRIPLE)
-        return (
-            jd_alpha(p, r, 1.0).value
-            - 2.0 * jd_alpha(p, q, 1.0).value
-            - 2.0 * jd_alpha(q, r, 1.0).value
-        )
-    return counterexample_numerator(a) / (a - 1.0)
+    b = a - 1.0
+    # counterexample_numerator(a) / b with its constant terms cancelled exactly:
+    # each term expm1(b x) / b keeps full precision near a = 1 and tends to x
+    term = (lambda x: math.expm1(b * x) / b) if b else (lambda x: x)
+    return term(math.log(0.25)) + 3.0 * term(math.log(0.75)) - 3.0 * term(math.log(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +405,8 @@ def s_alpha_even_derivative(n: int, alpha: float, x: float = 0.5) -> float:
         raise ValueError(f"need 0 < x < 1, got {x}")
     k = 2 * n
     bracket = x ** (a - k) + (1.0 - x) ** (a - k)
-    if a == 1.0:
-        return -float(math.factorial(k - 2)) * (x ** (1 - k) + (1.0 - x) ** (1 - k))
-    return -falling_factorial(a, k) / (a - 1.0) * bracket
+    # a^(k falling) / (a - 1) with the factor (a - 1) cancelled: exact at a = 1 too
+    return -a * falling_factorial(a - 2.0, k - 2) * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +434,7 @@ def midpoint_kernel(phi, samples) -> np.ndarray:
     """K_ij = phi((x_i + x_j) / 2) for scalar samples or density matrices."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    first = samples[0]
-    if (
-        isinstance(first, DensityMatrix)
-        or (isinstance(first, dict) and "entries" in first)
-        or (not isinstance(first, dict) and np.asarray(first).ndim == 2)
-    ):
+    if _is_state(samples[0]):
         xs = [as_density(s).matrix for s in samples]
     else:
         xs = [float(s) for s in samples]

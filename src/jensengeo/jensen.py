@@ -16,19 +16,21 @@ import numpy as np
 
 from .classical import (
     Distribution,
-    alpha_entropy,
+    _entropies,
+    _kl,
     as_distribution,
     check_alpha,
     kl_divergence,
-    shannon_entropy,
 )
 from .quantum import (
+    EIG_FLOOR,
     DensityMatrix,
-    alpha_entropy_q,
+    _clipped,
+    _is_state,
+    _relative_entropies,
     as_density,
     relative_entropy,
     validate_density,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -55,6 +57,8 @@ __all__ = [
 # averaged-relative-entropy form
 DUAL_TOL_CLASSICAL = 1e-10
 DUAL_TOL_QUANTUM = 1e-9
+# the even weights of a pair, validated once
+_EVEN = Distribution(probs=np.array([0.5, 0.5]))
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,82 @@ class DivergenceResult:
     via: str  # "entropy_difference" | "kl_average"
 
 
+def _validate_points(points) -> tuple[str, tuple]:
+    """Validate points as all distributions of one length or all states of one dimension.
+
+    The first point decides which; returns the kind and the validated points.
+    """
+    if _is_state(points[0]):
+        pts = tuple(as_density(p) for p in points)
+        kind, sizes, what = "quantum", {p.dim for p in pts}, "dimensions"
+    else:
+        pts = tuple(as_distribution(p) for p in points)
+        kind, sizes, what = "classical", {len(p) for p in pts}, "lengths"
+    if len(sizes) != 1:
+        raise ValueError(f"points of mixed {what}: {sorted(sizes)}")
+    return kind, pts
+
+
+def _stack(points: tuple) -> np.ndarray:
+    """Validated points as one (N, n) or (N, d, d) array."""
+    return np.stack([p.matrix if isinstance(p, DensityMatrix) else p.probs for p in points])
+
+
+def _mix(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The mixtures sum_j weights[..., j] * members[..., j, ...], one per row of ``weights``."""
+    w = weights.reshape(weights.shape + (1,) * (members.ndim - weights.ndim))
+    return (w * members).sum(axis=weights.ndim - 1)
+
+
+def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_j w_j v_j over the last axis, skipping zero weights (so 0 * inf is 0)."""
+    return (weights * np.where(weights > 0.0, values, 0.0)).sum(axis=-1)
+
+
+def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np.ndarray:
+    """Order-a concavity gaps of R weighted families of validated points.
+
+    ``X`` stacks the points, distributions as (N, n) or states as
+    (N, d, d); row r of ``index`` (R, k) picks the members of family r and
+    row r of ``weights`` (R, k) their weights. Returns, for every r,
+    S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]). Every point and every
+    mixture is decomposed once, in one stacked call per side. At order 1
+    each gap is checked against the averaged relative entropy
+    sum_j w_rj D(X[index_rj] || mixture_r) from the same decompositions,
+    and a disagreement beyond DUAL_TOL_CLASSICAL / DUAL_TOL_QUANTUM
+    raises ArithmeticError.
+    """
+    quantum = X.ndim == 3
+    mix = _mix(X[index], weights)
+    if quantum and a == 1.0:
+        (wx, Vx), (wm, Vm) = np.linalg.eigh(X), np.linalg.eigh(mix)
+    elif quantum:
+        wx, wm = np.linalg.eigvalsh(X), np.linalg.eigvalsh(mix)
+    else:
+        wx, wm = X, mix
+    if quantum:
+        if wm.min() < EIG_FLOOR:
+            raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
+        wx, wm = _clipped(wx), _clipped(wm)
+    gaps = _entropies(wm, a) - (weights * _entropies(wx, a)[index]).sum(axis=-1)
+    if a != 1.0:
+        return gaps
+    if quantum:
+        d = _relative_entropies(wx[index], Vx[index], wm[:, None], Vm[:, None])
+        tol = DUAL_TOL_QUANTUM
+    else:
+        d = _kl(X[index], mix[:, None])
+        tol = DUAL_TOL_CLASSICAL
+    avg = _weighted_mean(weights, d)
+    bad = ~np.isfinite(avg) | (np.abs(gaps - avg) > tol)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"entropy-difference ({gaps[r]}) and divergence-average ({avg[r]}) forms disagree"
+        )
+    return gaps
+
+
 def weighted_family(members, weights) -> WeightedFamily:
     """Validate members and weights into a homogeneous weighted family.
 
@@ -90,29 +170,8 @@ def weighted_family(members, weights) -> WeightedFamily:
     w = as_distribution(weights)
     if len(w) != len(members):
         raise ValueError(f"{len(members)} members but {len(w)} weights")
-
-    first = members[0]
-    if isinstance(first, DensityMatrix):
-        quantum = True
-    elif isinstance(first, Distribution):
-        quantum = False
-    elif isinstance(first, dict):
-        quantum = "entries" in first
-    else:
-        quantum = np.asarray(first).ndim == 2
-
-    if quantum:
-        states = tuple(as_density(m) for m in members)
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValueError(f"mixed dimensions in family: {sorted(dims)}")
-        return WeightedFamily(members=states, weights=w, kind="quantum")
-
-    dists = tuple(as_distribution(m) for m in members)
-    lengths = {len(d) for d in dists}
-    if len(lengths) != 1:
-        raise ValueError(f"mixed lengths in family: {sorted(lengths)}")
-    return WeightedFamily(members=dists, weights=w, kind="classical")
+    kind, pts = _validate_points(members)
+    return WeightedFamily(members=pts, weights=w, kind=kind)
 
 
 def family_from_json(obj: dict) -> WeightedFamily:
@@ -121,6 +180,8 @@ def family_from_json(obj: dict) -> WeightedFamily:
         raise ValueError('family mapping must contain "weights" and "members"')
     kind = obj.get("kind")
     members = obj["members"]
+    if not isinstance(members, list):
+        raise ValueError('family "members" must be a list')
     if kind == "quantum":
         members = [as_density(m) for m in members]
     elif kind == "classical":
@@ -146,21 +207,22 @@ def family_to_json(fam: WeightedFamily) -> dict:
 
 def mixture(fam: WeightedFamily):
     """The barycenter: weighted sum of the members."""
-    w = fam.weights.probs
-    if fam.kind == "quantum":
-        acc = np.zeros_like(fam.members[0].matrix)
-        for pi, m in zip(w, fam.members):
-            acc = acc + pi * m.matrix
-        return validate_density(acc)
-    acc = np.zeros_like(fam.members[0].probs)
-    for pi, m in zip(w, fam.members):
-        acc = acc + pi * m.probs
-    return as_distribution(acc)
+    mix = _mix(_stack(fam.members), fam.weights.probs)
+    return validate_density(mix) if fam.kind == "quantum" else as_distribution(mix)
 
 
 def _require_kind(fam: WeightedFamily, kind: str) -> None:
     if fam.kind != kind:
         raise ValueError(f"need a {kind} family, got {fam.kind}")
+
+
+def _divergence(fam: WeightedFamily, alpha: float, kind: str) -> DivergenceResult:
+    """The order-alpha gap of one family of the given kind, through ``_gaps``."""
+    a = check_alpha(alpha)
+    _require_kind(fam, kind)
+    index = np.arange(len(fam))[None]
+    value = _gaps(_stack(fam.members), index, fam.weights.probs[None], a)[0]
+    return DivergenceResult(value=float(value), alpha=a, via="entropy_difference")
 
 
 def jd_general(fam: WeightedFamily) -> DivergenceResult:
@@ -170,61 +232,23 @@ def jd_general(fam: WeightedFamily) -> DivergenceResult:
     sum_i pi_i D(P_i || mixture), requires them to agree to 1e-10, and
     returns the entropy-difference value.
     """
-    _require_kind(fam, "classical")
-    mix = mixture(fam)
-    w = fam.weights.probs
-    diff = float(
-        shannon_entropy(mix)
-        - sum(pi * shannon_entropy(m) for pi, m in zip(w, fam.members))
-    )
-    avg = float(
-        sum(pi * kl_divergence(m, mix) for pi, m in zip(w, fam.members) if pi > 0.0)
-    )
-    if not math.isfinite(avg) or abs(diff - avg) > DUAL_TOL_CLASSICAL:
-        raise ArithmeticError(
-            f"entropy-difference ({diff}) and divergence-average ({avg}) forms disagree"
-        )
-    return DivergenceResult(value=diff, alpha=1.0, via="entropy_difference")
+    return jd_alpha_general(fam, 1.0)
 
 
 def jd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     """Order-alpha Jensen divergence S_a(mixture) - sum_i pi_i S_a(P_i)."""
-    a = check_alpha(alpha)
-    _require_kind(fam, "classical")
-    if a == 1.0:
-        return jd_general(fam)
-    mix = mixture(fam)
-    w = fam.weights.probs
-    value = float(
-        alpha_entropy(mix, a)
-        - sum(pi * alpha_entropy(m, a) for pi, m in zip(w, fam.members))
-    )
-    return DivergenceResult(value=value, alpha=a, via="entropy_difference")
+    return _divergence(fam, alpha, "classical")
 
 
 def jd_alpha(p, q, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha Jensen divergence of two distributions with even weights."""
-    fam = weighted_family([as_distribution(p), as_distribution(q)], [0.5, 0.5])
+    fam = weighted_family([as_distribution(p), as_distribution(q)], _EVEN)
     return jd_alpha_general(fam, alpha)
 
 
 def qjd_general(fam: WeightedFamily) -> DivergenceResult:
     """Von Neumann Jensen divergence, cross-checked against averaged relative entropy."""
-    _require_kind(fam, "quantum")
-    mix = mixture(fam)
-    w = fam.weights.probs
-    diff = float(
-        von_neumann_entropy(mix)
-        - sum(pi * von_neumann_entropy(m) for pi, m in zip(w, fam.members))
-    )
-    avg = float(
-        sum(pi * relative_entropy(m, mix) for pi, m in zip(w, fam.members) if pi > 0.0)
-    )
-    if not math.isfinite(avg) or abs(diff - avg) > DUAL_TOL_QUANTUM:
-        raise ArithmeticError(
-            f"entropy-difference ({diff}) and divergence-average ({avg}) forms disagree"
-        )
-    return DivergenceResult(value=diff, alpha=1.0, via="entropy_difference")
+    return qjd_alpha_general(fam, 1.0)
 
 
 def qjd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
@@ -233,22 +257,12 @@ def qjd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     For alpha != 1 only the entropy-difference form is defined; there is
     no averaged-relative-entropy identity away from order 1.
     """
-    a = check_alpha(alpha)
-    _require_kind(fam, "quantum")
-    if a == 1.0:
-        return qjd_general(fam)
-    mix = mixture(fam)
-    w = fam.weights.probs
-    value = float(
-        alpha_entropy_q(mix, a)
-        - sum(pi * alpha_entropy_q(m, a) for pi, m in zip(w, fam.members))
-    )
-    return DivergenceResult(value=value, alpha=a, via="entropy_difference")
+    return _divergence(fam, alpha, "quantum")
 
 
 def qjd_alpha(rho, sigma, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha quantum Jensen divergence of two states with even weights."""
-    fam = weighted_family([as_density(rho), as_density(sigma)], [0.5, 0.5])
+    fam = weighted_family([as_density(rho), as_density(sigma)], _EVEN)
     return qjd_alpha_general(fam, alpha)
 
 
@@ -262,15 +276,7 @@ def redundancy(fam: WeightedFamily, q) -> float:
     Q = as_distribution(q)
     if len(Q) != len(fam.members[0]):
         raise ValueError("reference distribution has the wrong length")
-    total = 0.0
-    for pi, m in zip(fam.weights.probs, fam.members):
-        if pi == 0.0:
-            continue
-        d = kl_divergence(m, Q)
-        if math.isinf(d):
-            return math.inf
-        total += float(pi) * d
-    return float(total)
+    return float(_weighted_mean(fam.weights.probs, _kl(_stack(fam.members), Q.probs)))
 
 
 def compensation_residual(fam: WeightedFamily, q) -> float:
@@ -294,15 +300,9 @@ def q_redundancy(fam: WeightedFamily, sigma) -> float:
     s = as_density(sigma)
     if s.dim != fam.members[0].dim:
         raise ValueError("reference state has the wrong dimension")
-    total = 0.0
-    for pi, m in zip(fam.weights.probs, fam.members):
-        if pi == 0.0:
-            continue
-        d = relative_entropy(m, s)
-        if math.isinf(d):
-            return math.inf
-        total += float(pi) * d
-    return float(total)
+    w, V = np.linalg.eigh(_stack(fam.members + (s,)))
+    d = _relative_entropies(w[:-1], V[:-1], w[-1], V[-1])
+    return float(_weighted_mean(fam.weights.probs, d))
 
 
 def donald_residual(fam: WeightedFamily, sigma) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _alpha_entropy_of, check_alpha
+from .classical import _entropies, check_alpha
 
 __all__ = [
     "DensityMatrix",
@@ -104,6 +104,15 @@ def as_density(obj) -> DensityMatrix:
     return validate_density(obj)
 
 
+def _is_state(obj) -> bool:
+    """Whether obj is or describes a density matrix, rather than a distribution or a scalar."""
+    if isinstance(obj, DensityMatrix):
+        return True
+    if isinstance(obj, dict):
+        return "entries" in obj
+    return np.asarray(obj).ndim == 2
+
+
 def density_to_json(rho) -> dict:
     """Wire format: {"dim": d, "entries": [[[re, im], ...], ...]}."""
     A = as_density(rho).matrix
@@ -114,8 +123,13 @@ def density_to_json(rho) -> dict:
 def density_from_json(obj: dict) -> DensityMatrix:
     if "entries" not in obj:
         raise ValueError('density mapping must contain "entries"')
-    rows = obj["entries"]
-    A = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+    try:
+        pairs = np.asarray(obj["entries"], dtype=float)
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError('density "entries" must be rows of [re, im] pairs') from None
+    A = pairs[..., 0] + 1j * pairs[..., 1]
     if "dim" in obj and int(obj["dim"]) != A.shape[0]:
         raise ValueError(f'"dim" is {obj["dim"]} but entries are {A.shape[0]}x{A.shape[1]}')
     return validate_density(A)
@@ -132,16 +146,14 @@ def spectrum(rho, with_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=w[::-1])
 
 
-def _clipped_eigs(rho) -> np.ndarray:
-    w = spectrum(rho).eigenvalues
+def _clipped(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues with their float-noise negatives set to zero."""
     return np.where(w < 0.0, 0.0, w)
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr(rho ln rho), in [0, ln d]."""
-    w = _clipped_eigs(rho)
-    pos = w[w > 0.0]
-    return float(-np.dot(pos, np.log(pos)))
+    return alpha_entropy_q(rho, 1.0)
 
 
 def alpha_entropy_q(rho, alpha: float) -> float:
@@ -151,9 +163,7 @@ def alpha_entropy_q(rho, alpha: float) -> float:
     ``alpha_entropy``, so it stays accurate near alpha = 1.
     """
     a = check_alpha(alpha)
-    if a == 1.0:
-        return von_neumann_entropy(rho)
-    return _alpha_entropy_of(_clipped_eigs(rho), a)
+    return float(_entropies(_clipped(spectrum(rho).eigenvalues), a))
 
 
 def _check_same_dim(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +174,25 @@ def _check_same_dim(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
+def _relative_entropies(wr, Vr, ws, Vs) -> np.ndarray:
+    """S(rho||sigma) from the eigendecompositions (w, V) of rho and sigma, over leading axes.
+
+    +inf where the support of rho escapes that of sigma: an eigenvector of
+    rho with eigenvalue > 1e-10 has squared projection > 1e-10 onto the
+    null space of sigma (its eigenvalues <= 1e-10).
+    """
+    # overlaps[..., l, k] = |<sigma_l|rho_k>|^2
+    overlaps = np.abs(np.swapaxes(Vs.conj(), -1, -2) @ Vr) ** 2
+    null = ws <= SUPPORT_TOL
+    leak = (overlaps * null[..., :, None]).sum(axis=-2)
+    escape = ((wr > SUPPORT_TOL) & (leak > SUPPORT_TOL)).any(axis=-1)
+    tr_rho_ln_rho = -_entropies(np.where(wr > SUPPORT_TOL, wr, 0.0), 1.0)
+    # <sigma_l|rho|sigma_l> = sum_k w_k |<sigma_l|rho_k>|^2
+    weights = (overlaps @ wr[..., None])[..., 0]
+    tr_rho_ln_sigma = (weights * np.log(np.where(null, 1.0, ws))).sum(axis=-1)
+    return np.where(escape, math.inf, tr_rho_ln_rho - tr_rho_ln_sigma)
+
+
 def relative_entropy(rho, sigma) -> float:
     """S(rho||sigma) = Tr rho ln rho - Tr rho ln sigma.
 
@@ -171,24 +200,8 @@ def relative_entropy(rho, sigma) -> float:
     of sigma (an eigenvector of rho with eigenvalue > 1e-10 has squared
     projection > 1e-10 onto the null space of sigma).
     """
-    r, s = _check_same_dim(rho, sigma)
-    wr, Vr = np.linalg.eigh(r)
-    ws, Vs = np.linalg.eigh(s)
-    null_vecs = Vs[:, ws <= SUPPORT_TOL]
-    if null_vecs.shape[1] > 0:
-        for k in range(len(wr)):
-            if wr[k] > SUPPORT_TOL:
-                proj = float(np.sum(np.abs(null_vecs.conj().T @ Vr[:, k]) ** 2))
-                if proj > SUPPORT_TOL:
-                    return math.inf
-    wr_pos = wr[wr > SUPPORT_TOL]
-    tr_rho_ln_rho = float(np.dot(wr_pos, np.log(wr_pos)))
-    tr_rho_ln_sigma = 0.0
-    for j in range(len(ws)):
-        if ws[j] > SUPPORT_TOL:
-            weight = float(np.real(Vs[:, j].conj() @ r @ Vs[:, j]))
-            tr_rho_ln_sigma += weight * math.log(ws[j])
-    return tr_rho_ln_rho - tr_rho_ln_sigma
+    w, V = np.linalg.eigh(np.stack(_check_same_dim(rho, sigma)))
+    return float(_relative_entropies(w[0], V[0], w[1], V[1]))
 
 
 def trace_distance(rho, sigma) -> float:

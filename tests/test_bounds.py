@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestUpperUn:
             (LN2 / 2.0) * total_variation(p, q), abs=1e-14
         )
         assert upper_Un(p, q, 1.0 + 1e-6) == pytest.approx(upper_Un(p, q, 1.0), abs=2e-6)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
+    def test_stable_across_order_one(self, delta):
+        # |d/da ln U_n| < 3 at a = 1 here, so the true gap to the limit is below 3 delta
+        p, q = [0.2, 0.5, 0.3], [0.4, 0.1, 0.5]
+        limit = upper_Un(p, q, 1.0)
+        for a in (1.0 - delta, 1.0 + delta):
+            assert upper_Un(p, q, a) == pytest.approx(limit, rel=3 * delta + 1e-14)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0])
     def test_dominates_divergence_any_alphabet(self, alpha):
@@ -347,6 +356,29 @@ class TestDiagram:
             assert v == pytest.approx(vc, abs=1e-12)
             assert jd == pytest.approx(jc, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
+    def test_upper_curve_stable_across_order_one(self, delta):
+        # |d/da ln| < 3 at a = 1 for these v, so the true gap to the limit is below 3 delta
+        for v in (0.5, 1.0, 2.0):
+            limit = upper_curve_value(v, 1.0, 3)
+            for a in (1.0 - delta, 1.0 + delta):
+                assert upper_curve_value(v, a, 3) == pytest.approx(limit, rel=3 * delta + 1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_samples_equal_pairwise_calls(self, alpha, n):
+        grid = 7
+        pts = diagram(alpha, n, grid)
+        ts = np.linspace(0.0, 1.0, grid)
+        vs = np.linspace(0.0, 2.0, grid)
+        expected = [(t, v) for t in ts for v in vs]
+        assert len(pts.homotopy_samples) == grid * grid
+        for (t, v), sample in zip(expected, pts.homotopy_samples):
+            p, q = homotopy_pair(float(t), float(v), n)
+            assert sample[0] == t
+            assert sample[1] == pytest.approx(total_variation(p, q), abs=1e-15)
+            assert sample[2] == pytest.approx(jd_alpha(p, q, alpha).value, abs=1e-15)
+
     def test_two_letter_upper_curve(self):
         pts = diagram(1.3, 2, 9)
         for v, jd in pts.curve_upper:
@@ -384,6 +416,18 @@ class TestDiagram:
             diagram(1.0, 3, 1)
         with pytest.raises(ValueError):
             diagram(1.0, 1, 5)
+
+    def test_huge_grid_rejected_before_allocation(self):
+        # np.linspace alone would ask for 8 TB at this grid, so a missing cap
+        # fails at once with a MemoryError instead of running out of memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                diagram(1.0, 3, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestQuantumAgainstClassicalDiagonal:

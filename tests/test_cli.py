@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jensengeo
 from jensengeo.cli import EXIT_BAD_FILE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 
 
@@ -56,6 +61,30 @@ class TestExitCodes:
         )
         assert code == EXIT_VALIDATION
         assert "exactly one" in json.loads(err)["error"]
+
+
+    @pytest.mark.parametrize(
+        "command, family",
+        [
+            ("jd-general", '{"weights":[1],"members":5}'),
+            ("qjd-general", '{"weights":[1],"members":[{"entries":[[1]]}]}'),
+        ],
+    )
+    def test_malformed_family(self, capsys, command, family):
+        code, _, err = invoke(capsys, command, "--family", family)
+        assert code == EXIT_VALIDATION
+        assert "error" in json.loads(err)
+
+    def test_module_entry_point(self):
+        src = str(Path(jensengeo.__file__).resolve().parents[1])
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jensengeo.cli", "jd", "--p", "[1,0]", "--q", "[0,1]"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout) == {"value": math.log(2)}
 
 
 class TestScalarCommands:
@@ -220,6 +249,11 @@ class TestDiagramAndBounds:
         lines = out.strip().split("\n")
         assert lines[0] == "curve,t,v,jd"
         assert len(lines) == 1 + 4 + 4 + 16
+
+    def test_diagram_grid_cap(self, capsys):
+        code, out, err = invoke(capsys, "diagram", "--n", "3", "--grid", str(10**12))
+        assert code == EXIT_VALIDATION and out == ""
+        assert "cap" in json.loads(err)["error"]
 
     def test_diagram_to_file(self, capsys, tmp_path):
         target = tmp_path / "diagram.csv"

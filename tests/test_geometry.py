@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jensengeo.classical import random_distribution
+from jensengeo.classical import alpha_entropy, random_distribution
 from jensengeo.geometry import (
     COUNTEREXAMPLE_TRIPLE,
     DistanceMatrix,
@@ -27,8 +28,8 @@ from jensengeo.geometry import (
     sum_zero_basis,
     triangle_gap,
 )
-from jensengeo.jensen import jd_alpha
-from jensengeo.quantum import ginibre_state, random_pure_state, trace_exp_qubit
+from jensengeo.jensen import jd_alpha, qjd_alpha
+from jensengeo.quantum import alpha_entropy_q, ginibre_state, random_pure_state, trace_exp_qubit
 
 LN2 = math.log(2.0)
 # triangle defect of the canonical triple at order 2.5: numerator / 1.5
@@ -88,6 +89,43 @@ class TestDivergenceMatrix:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             divergence_matrix([[1.0, 0.0]], 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["zero_entries", "pure", "mixed"])
+    def test_entries_equal_pairwise_calls(self, kind, alpha):
+        rng = np.random.default_rng(9)
+        if kind == "zero_entries":
+            P = np.where(rng.random((7, 5)) < 0.4, 0.0, rng.dirichlet(np.ones(5), size=7))
+            P[:, 0] += 0.05  # no row is all zeros
+            pts = list(P / P.sum(axis=1, keepdims=True)) + [np.eye(5)[0], np.eye(5)[1]]
+            div, entropy, raw = jd_alpha, alpha_entropy, (lambda x: x)
+        else:
+            make = random_pure_state if kind == "pure" else ginibre_state
+            pts = [make(3, rng) for _ in range(7)]
+            div, entropy, raw = qjd_alpha, alpha_entropy_q, (lambda x: x.matrix)
+        # below order 1, eigenvalue noise of size d eps on the zero eigenvalues of
+        # a state is raised to the power alpha; d = 3 here
+        tol = 1e-14 if kind == "zero_entries" or alpha >= 1.0 else 3 * 6.6e-16**alpha / (1 - alpha)
+        D = divergence_matrix(pts, alpha).d
+        assert np.all(np.diag(D) == 0.0) and np.array_equal(D, D.T)
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            x, y = raw(pts[i]), raw(pts[j])
+            assert abs(D[i, j] - max(div(x, y, alpha).value, 0.0)) <= 1e-15
+            # the definition, one entropy call at a time
+            gap = entropy(0.5 * x + 0.5 * y, alpha) - (entropy(x, alpha) + entropy(y, alpha)) / 2
+            assert D[i, j] == pytest.approx(max(gap, 0.0), abs=tol)
+
+    def test_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError, match=r"mixed lengths: \[2, 3\]"):
+            divergence_matrix([[0.5, 0.5], [0.2, 0.3, 0.5]], 1.0)
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match=r"mixed dimensions: \[2, 3\]"):
+            divergence_matrix([np.eye(2) / 2.0, np.eye(3) / 3.0, np.eye(2) / 2.0], 1.0)
+
+    def test_rejects_states_among_distributions(self):
+        with pytest.raises(ValueError, match="1-D"):
+            divergence_matrix([[0.5, 0.5], np.eye(2) / 2.0], 1.0)
 
 
 class TestNegativeType:
@@ -254,6 +292,12 @@ class TestCounterexampleEnergy:
     def test_value_at_25(self):
         assert counterexample_energy(2.5) == pytest.approx(E_25, abs=1e-14)
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
+    def test_stable_across_order_one(self, delta):
+        # |d/da ln E| < 3 at a = 1, so the true gap to the limit is below 3 delta
+        for a in (1.0 - delta, 1.0 + delta):
+            assert counterexample_energy(a) == pytest.approx(E_1, rel=3 * delta + 1e-14)
+
     def test_limit_at_one(self):
         assert counterexample_energy(1.0) == pytest.approx(E_1, abs=1e-13)
         assert counterexample_energy(1.0) == pytest.approx(3 * math.log(3) - 5 * LN2, abs=1e-13)
@@ -341,6 +385,21 @@ class TestEvenDerivative:
         s = lambda p: binary_alpha_entropy(p, alpha)
         fd = (s(x - 2 * h) - 4 * s(x - h) + 6 * s(x) - 4 * s(x + h) + s(x + 2 * h)) / h**4
         assert s_alpha_even_derivative(2, alpha, x) == pytest.approx(fd, rel=1e-3)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
+    def test_stable_across_order_one(self, delta):
+        # |d/da ln| < 3 at a = 1 here, so the true gap to the limit is below 3 delta
+        for n in (1, 2, 3):
+            for x in (0.3, 0.5):
+                limit = s_alpha_even_derivative(n, 1.0, x)
+                assert limit == pytest.approx(
+                    -math.factorial(2 * n - 2) * (x ** (1 - 2 * n) + (1 - x) ** (1 - 2 * n)),
+                    rel=1e-15,
+                )
+                for a in (1.0 - delta, 1.0 + delta):
+                    assert s_alpha_even_derivative(n, a, x) == pytest.approx(
+                        limit, rel=3 * delta + 1e-14
+                    )
 
     def test_midpoint_closed_form(self):
         for a in (0.5, 1.5, 2.5):

@@ -8,6 +8,8 @@ from jensengeo.classical import (
     random_distribution,
     shannon_entropy,
 )
+from jensengeo import jensen
+from jensengeo.geometry import divergence_matrix
 from jensengeo.jensen import (
     compensation_residual,
     donald_residual,
@@ -20,6 +22,7 @@ from jensengeo.jensen import (
     mixture,
     q_redundancy,
     qjd_alpha,
+    qjd_alpha_general,
     qjd_general,
     redundancy,
     weighted_family,
@@ -79,6 +82,49 @@ class TestWeightedFamily:
     def test_mixture(self):
         fam = weighted_family([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.75])
         assert np.allclose(mixture(fam).probs, [0.25, 0.75])
+
+    def test_json_rejects_members_that_are_not_a_list(self):
+        with pytest.raises(ValueError, match="must be a list"):
+            family_from_json({"weights": [1], "members": 5})
+
+
+class TestDualCrossCheck:
+    """The order-1 cross-check against the averaged relative entropy fires."""
+
+    FAMILY = ([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]], [0.2, 0.3, 0.5])
+
+    def test_classical(self, monkeypatch):
+        fam = weighted_family(*self.FAMILY)
+        monkeypatch.setattr(jensen, "DUAL_TOL_CLASSICAL", -1.0)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            jd_general(fam)
+        with pytest.raises(ArithmeticError):
+            divergence_matrix(fam.members, 1.0)
+        # there is no averaged-relative-entropy identity away from order 1
+        assert jd_alpha_general(fam, 1.5).value > 0.0
+
+    def test_quantum(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        fam = weighted_family([ginibre_state(3, rng) for _ in range(3)], [0.2, 0.3, 0.5])
+        monkeypatch.setattr(jensen, "DUAL_TOL_QUANTUM", -1.0)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            qjd_general(fam)
+        with pytest.raises(ArithmeticError):
+            divergence_matrix(fam.members, 1.0)
+        assert qjd_alpha_general(fam, 1.5).value > 0.0
+
+    def test_kernel_keeps_the_mixture_psd_floor(self):
+        # valid members always mix to a state; the floor guards the kernel itself
+        X = np.array([np.diag([1.5, -0.5]), np.diag([1.5, -0.5])], dtype=complex)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            jensen._gaps(X, np.array([[0, 1]]), np.full((1, 2), 0.5), 1.5)
+
+    def test_passes_at_default_tolerances(self):
+        rng = np.random.default_rng(4)
+        for d in (2, 3, 4):
+            states = [ginibre_state(d, rng) for _ in range(4)] + [random_pure_state(d, rng)]
+            fam = weighted_family(states, rng.dirichlet(np.ones(5)))
+            assert qjd_general(fam).value > 0.0
 
 
 class TestJDGeneral:

@@ -77,6 +77,11 @@ class TestValidateDensity:
         again = density_from_json(density_to_json(rho))
         assert np.allclose(again.matrix, rho.matrix, atol=1e-15)
 
+    @pytest.mark.parametrize("entries", [[[1]], [[[1, 0, 0]]], 5, [[[1, 0], "x"]], [[{"re": 1}]]])
+    def test_json_rejects_entries_that_are_not_pairs(self, entries):
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            density_from_json({"entries": entries})
+
 
 class TestSpectrum:
     def test_diagonal(self):
@@ -165,6 +170,12 @@ class TestRelativeEntropy:
 
     def test_orthogonal_pure_infinite(self):
         assert relative_entropy(PURE0, PURE1) == math.inf
+
+    def test_support_rule_ignores_eigenvalues_at_or_below_threshold(self):
+        sigma = np.diag([1.0, 0.0])
+        # an eigenvalue of 1e-11 outside supp(sigma) is below the 1e-10 threshold
+        assert math.isfinite(relative_entropy(np.diag([1.0 - 1e-11, 1e-11]), sigma))
+        assert relative_entropy(np.diag([1.0 - 1e-9, 1e-9]), sigma) == math.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
