@@ -65,9 +65,17 @@ def as_distribution(p) -> Distribution:
     if isinstance(p, dict):
         if "probs" not in p:
             raise ValueError('distribution mapping must contain "probs"')
-        labels = tuple(p["labels"]) if p.get("labels") is not None else None
+        labels = p.get("labels")
+        if labels is not None:
+            try:
+                labels = tuple(labels)
+            except TypeError:
+                raise ValueError(f"distribution labels must be a list, got {labels!r}") from None
         p = p["probs"]
-    probs = np.asarray(p, dtype=float)
+    try:
+        probs = np.asarray(p, dtype=float)
+    except TypeError:
+        raise ValueError("distribution entries must be numbers") from None
     if probs.ndim != 1 or probs.shape[0] < 1:
         raise ValueError(f"distribution must be a non-empty 1-D vector, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):

@@ -30,6 +30,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
+# cap on the entries gen may write: --count * --n for distributions, --count * --n^2 for states
+GEN_MAX_ENTRIES = 100_000
 
 
 class CliError(Exception):
@@ -108,6 +110,7 @@ def _vector(args, name: str, required: bool = True):
         isinstance(obj, list)
         and len(obj) == 1
         and isinstance(obj[0], list)
+        and obj[0]
         and not isinstance(obj[0][0], list)
     ):
         return obj[0]
@@ -397,9 +400,12 @@ def _cmd_holevo(args):
 
 
 def _cmd_gen(args):
-    rng = np.random.default_rng(args.seed)
     if args.count < 1 or args.n < 1:
         raise CliError("need --count >= 1 and --n >= 1")
+    entries = args.count * (args.n if args.kind == "distribution" else args.n**2)
+    if entries > GEN_MAX_ENTRIES:
+        raise CliError(f"gen would write {entries} entries, above the cap of {GEN_MAX_ENTRIES}")
+    rng = np.random.default_rng(args.seed)
     items = []
     for _ in range(args.count):
         if args.kind == "distribution":

@@ -121,7 +121,9 @@ def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np
     (N, d, d); row r of ``index`` (R, k) picks the members of family r and
     row r of ``weights`` (R, k) their weights. Returns, for every r,
     S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]). Every point and every
-    mixture is decomposed once, in one stacked call per side. At order 1
+    mixture is decomposed once, in one stacked call per side. The gaps
+    are nonnegative by concavity, so float noise below zero (and -0.0)
+    is returned as 0.0. At order 1
     each gap is checked against the averaged relative entropy
     sum_j w_rj D(X[index_rj] || mixture_r) from the same decompositions,
     and a disagreement beyond DUAL_TOL_CLASSICAL / DUAL_TOL_QUANTUM
@@ -140,8 +142,9 @@ def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np
             raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
         wx, wm = _clipped(wx), _clipped(wm)
     gaps = _entropies(wm, a) - (weights * _entropies(wx, a)[index]).sum(axis=-1)
+    floored = np.where(gaps <= 0.0, 0.0, gaps)
     if a != 1.0:
-        return gaps
+        return floored
     if quantum:
         d = _relative_entropies(wx[index], Vx[index], wm[:, None], Vm[:, None])
         tol = DUAL_TOL_QUANTUM
@@ -155,7 +158,7 @@ def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np
         raise ArithmeticError(
             f"entropy-difference ({gaps[r]}) and divergence-average ({avg[r]}) forms disagree"
         )
-    return gaps
+    return floored
 
 
 def weighted_family(members, weights) -> WeightedFamily:

@@ -73,7 +73,10 @@ def validate_density(raw) -> DensityMatrix:
     an eigenvalue below -1e-8. Smaller negative eigenvalues are kept and
     clipped to zero only when entropic quantities are evaluated.
     """
-    A = np.asarray(raw, dtype=complex)
+    try:
+        A = np.asarray(raw, dtype=complex)
+    except TypeError:
+        raise ValueError("density matrix entries must be numbers") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {A.shape}")
     if A.shape[0] < 1:
@@ -130,8 +133,13 @@ def density_from_json(obj: dict) -> DensityMatrix:
     except (TypeError, ValueError):
         raise ValueError('density "entries" must be rows of [re, im] pairs') from None
     A = pairs[..., 0] + 1j * pairs[..., 1]
-    if "dim" in obj and int(obj["dim"]) != A.shape[0]:
-        raise ValueError(f'"dim" is {obj["dim"]} but entries are {A.shape[0]}x{A.shape[1]}')
+    if "dim" in obj:
+        try:
+            dim = int(obj["dim"])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f'density "dim" must be an integer, got {obj["dim"]!r}') from None
+        if dim != A.shape[0]:
+            raise ValueError(f'"dim" is {obj["dim"]} but entries are {A.shape[0]}x{A.shape[1]}')
     return validate_density(A)
 
 

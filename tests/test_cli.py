@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import jensengeo
+from jensengeo import cli as cli_module
+from jensengeo import quantum
 from jensengeo.cli import EXIT_BAD_FILE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 
 
@@ -68,12 +70,37 @@ class TestExitCodes:
         [
             ("jd-general", '{"weights":[1],"members":5}'),
             ("qjd-general", '{"weights":[1],"members":[{"entries":[[1]]}]}'),
+            ("jd-general", '{"weights":[1],"members":[{"dim":[1],"entries":[[[1,0]]]}]}'),
         ],
     )
     def test_malformed_family(self, capsys, command, family):
         code, _, err = invoke(capsys, command, "--family", family)
         assert code == EXIT_VALIDATION
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jd", "--p", "[{},1]", "--q", "[0,1]"],
+            ["jd", "--p", '{"probs":{"a":1}}', "--q", "[0,1]"],
+            ["qjd", "--rho1", "[[{},0],[0,1]]", "--rho2", "[[1,0],[0,0]]"],
+        ],
+    )
+    def test_non_numeric_entries(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert "numbers" in json.loads(err)["error"]
+
+    def test_empty_row(self, capsys):
+        code, out, err = invoke(capsys, "jd", "--p", "[[]]", "--q", "[0,1]")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "non-empty" in json.loads(err)["error"]
+
+    def test_labels_not_a_list(self, capsys):
+        p = '{"probs":[1,0],"labels":5}'
+        code, out, err = invoke(capsys, "jd", "--p", p, "--q", "[0,1]")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "labels" in json.loads(err)["error"]
 
     def test_module_entry_point(self):
         src = str(Path(jensengeo.__file__).resolve().parents[1])
@@ -120,9 +147,23 @@ class TestScalarCommands:
         out = out_json(capsys, "counterexample", "--alpha", "1.5")
         assert out["violates_triangle"] is False
 
+    def test_jd_identical_prints_positive_zero(self, capsys):
+        code, out, _ = invoke(capsys, "jd", "--p", "[1,0]", "--q", "[1,0]")
+        assert code == EXIT_OK and out == '{"value": 0.0}\n'
+
     def test_power_integral(self, capsys):
         out = out_json(capsys, "power-integral", "--x", "0.7", "--alpha", "1.5")
         assert out["abs_error"] <= 1e-6
+
+    @pytest.mark.parametrize("alpha", ["0.5", "1.5"])
+    def test_power_integral_small_x(self, capsys, alpha):
+        out = out_json(capsys, "power-integral", "--x", "1e-6", "--alpha", alpha)
+        assert out["abs_error"] <= 1e-12 * out["exact"]
+
+    def test_power_integral_x_out_of_range(self, capsys):
+        code, _, err = invoke(capsys, "power-integral", "--x", "1e300", "--alpha", "1.5")
+        assert code == EXIT_VALIDATION
+        assert "error" in json.loads(err)
 
     def test_quadruple_cm(self, capsys):
         out = out_json(capsys, "quadruple-cm", "--alpha", "4", "--eps", "0.01")
@@ -286,6 +327,27 @@ class TestDiagramAndBounds:
 
 
 class TestGen:
+    @pytest.mark.parametrize(
+        "kind, n, count", [("density", 3, 10**8), ("pure", 400, 1), ("distribution", 10**6, 1)]
+    )
+    def test_size_cap_before_any_work(self, capsys, monkeypatch, kind, n, count):
+        # without the cap these calls would generate until killed
+        def no_work(*_):
+            raise AssertionError("gen started generating past its cap")
+
+        monkeypatch.setattr(quantum, "ginibre_state", no_work)
+        monkeypatch.setattr(quantum, "random_pure_state", no_work)
+        monkeypatch.setattr(cli_module, "random_distribution", no_work)
+        code, out, err = invoke(capsys, "gen", "--kind", kind, "--n", str(n), "--count", str(count))
+        assert code == EXIT_VALIDATION and out == ""
+        assert "cap" in json.loads(err)["error"]
+
+    def test_cap_counts_the_entries_of_each_kind(self, capsys):
+        # a distribution writes n entries and a state n^2
+        assert len(out_json(capsys, "gen", "--kind", "distribution", "--n", "1000")[0]) == 1000
+        code, _, _ = invoke(capsys, "gen", "--kind", "density", "--n", "1000")
+        assert code == EXIT_VALIDATION
+
     def test_distribution_determinism(self, capsys):
         a = out_json(capsys, "gen", "--kind", "distribution", "--n", "3", "--count", "2", "--seed", "7")
         b = out_json(capsys, "--seed", "7", "gen", "--kind", "distribution", "--n", "3", "--count", "2")

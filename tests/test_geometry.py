@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jensengeo
 from jensengeo.classical import alpha_entropy, random_distribution
 from jensengeo.geometry import (
     COUNTEREXAMPLE_TRIPLE,
@@ -504,3 +509,34 @@ class TestPowerIntegral:
     def test_negative_x(self):
         with pytest.raises(ValueError):
             power_integral(-0.1, 0.5)
+
+    @pytest.mark.parametrize("x", [1e-301, 1e151, math.inf, math.nan])
+    def test_x_out_of_range(self, x):
+        with pytest.raises(ValueError):
+            power_integral(x, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 10.0, 1e3])
+    def test_relative_accuracy_off_unit_scale(self, x, alpha):
+        assert abs(power_integral(x, alpha) / x**alpha - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.999999, 1.000001, 1.999999])
+    def test_orders_near_the_ends(self, alpha):
+        for x in np.arange(0.0, 2.01, 0.25):
+            assert abs(power_integral(float(x), alpha) - float(x) ** alpha) <= 1e-13
+
+    def test_no_scipy_import(self):
+        # the package and its CLI start without scipy, power_integral included
+        src = str(Path(jensengeo.__file__).resolve().parents[1])
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        code = (
+            "import sys, jensengeo, jensengeo.cli\n"
+            "jensengeo.power_integral(0.7, 1.5)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

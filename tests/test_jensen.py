@@ -157,6 +157,15 @@ class TestJDAlpha:
     def test_identical(self):
         assert jd_alpha([0.4, 0.6], [0.4, 0.6], 1.7).value == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_identical_gives_positive_zero(self, alpha):
+        # the gap of equal points is 0.0, never -0.0 or float noise below zero
+        for value in (
+            jd_alpha([1.0, 0.0], [1.0, 0.0], alpha).value,
+            qjd_alpha(PURE0, PURE0, alpha).value,
+        ):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5, 3.5])
     def test_antipodal_is_binary_entropy(self, alpha):
         assert jd_alpha([0.0, 1.0], [1.0, 0.0], alpha).value == pytest.approx(
