@@ -40,9 +40,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import (
+    _binary_entropies,
     alpha_norm_power,
     as_distribution,
-    binary_alpha_entropy,
     check_alpha,
     total_variation,
 )
@@ -97,11 +97,29 @@ def _check_v(v: float) -> float:
     return min(max(v, 0.0), 2.0)
 
 
+def _curves(v, a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L and ``upper_curve_value`` at validated distances v of any shape.
+
+    s_a(1/2), s_a(1/2 + v/4), s_a(v/4) and s_a(v/2) come from one stacked
+    entropy call; the scalar bounds and ``diagram``'s curves share it.
+    """
+    v = np.asarray(v, dtype=float)
+    x = np.stack([np.full_like(v, 0.5), 0.5 + v / 4.0, v / 4.0, v / 2.0])
+    s_half, s_lower, s_quarter, s_upper = _binary_entropies(x, a)
+    lower = s_half - s_lower
+    if n == 2:
+        upper = s_quarter - s_upper / 2.0
+    elif a == 1.0:
+        upper = (LN2 / 2.0) * v
+    else:
+        # ((v/2)^a - 2 (v/4)^a) / (a - 1), without its cancellation near a = 1
+        upper = -((v / 2.0) ** a) * math.expm1(-(a - 1.0) * LN2) / (a - 1.0)
+    return lower, upper
+
+
 def lower_L(v: float, alpha: float) -> float:
     """s_a(1/2) - s_a(1/2 + v/4), attained by the pair returned by ``lower_witness_pair``."""
-    a = check_alpha(alpha)
-    v = _check_v(v)
-    return binary_alpha_entropy(0.5, a) - binary_alpha_entropy(0.5 + v / 4.0, a)
+    return float(_curves(_check_v(v), check_alpha(alpha), 2)[0])
 
 
 def _lower_bound(v: float, alpha: float, n: int) -> float:
@@ -135,9 +153,7 @@ def upper_Un(p, q, alpha: float) -> float:
 
 def upper_U2(v: float, alpha: float) -> float:
     """Two-letter tight upper bound s_a(v/4) - s_a(v/2) / 2."""
-    a = check_alpha(alpha)
-    v = _check_v(v)
-    return binary_alpha_entropy(v / 4.0, a) - binary_alpha_entropy(v / 2.0, a) / 2.0
+    return float(_curves(_check_v(v), check_alpha(alpha), 2)[1])
 
 
 def lower_witness_pair(v: float, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -294,12 +310,7 @@ def upper_curve_value(v: float, alpha: float, n: int) -> float:
     v = _check_v(v)
     if n < 2:
         raise ValueError("need n >= 2")
-    if n == 2:
-        return upper_U2(v, a)
-    if a == 1.0:
-        return (LN2 / 2.0) * v
-    # ((v/2)^a - 2 (v/4)^a) / (a - 1), without its cancellation near a = 1
-    return -((v / 2.0) ** a) * math.expm1(-(a - 1.0) * LN2) / (a - 1.0)
+    return float(_curves(v, a, n)[1])
 
 
 def homotopy_pair(t: float, v: float, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +347,9 @@ def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
         )
     vs = np.linspace(0.0, 2.0, grid)
     ts = np.linspace(0.0, 1.0, grid)
-    curve_lower = [(float(v), lower_L(float(v), a)) for v in vs]
-    curve_upper = [(float(v), upper_curve_value(float(v), a, n)) for v in vs]
+    lower, upper = _curves(vs, a, n)
+    curve_lower = list(zip(vs.tolist(), lower.tolist()))
+    curve_upper = list(zip(vs.tolist(), upper.tolist()))
     # the homotopy_pair samples of every (t, v), t major, stacked as P and Q
     PL, QL = np.stack([lower_witness_pair(float(v), n) for v in vs], axis=1)
     PU, QU = np.stack([upper_witness_pair(float(v), n) for v in vs], axis=1)

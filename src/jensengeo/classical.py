@@ -93,12 +93,24 @@ def as_distribution(p) -> Distribution:
     return Distribution(probs=probs, labels=labels)
 
 
+def _check_labels(dists) -> None:
+    """Refuse validated distributions whose labels differ.
+
+    Entries are compared by position, which matches letters only over one
+    labelled alphabet; an unlabelled distribution pairs by position with any.
+    """
+    labels = [d.labels for d in dists if d.labels is not None]
+    other = next((lab for lab in labels if lab != labels[0]), None)
+    if other is not None:
+        raise ValueError(f"distributions carry different labels: {labels[0]} and {other}")
+
+
 def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
-    P = as_distribution(p).probs
-    Q = as_distribution(q).probs
-    if P.shape[0] != Q.shape[0]:
-        raise ValueError(f"length mismatch: {P.shape[0]} vs {Q.shape[0]}")
-    return P, Q
+    P, Q = as_distribution(p), as_distribution(q)
+    if len(P) != len(Q):
+        raise ValueError(f"length mismatch: {len(P)} vs {len(Q)}")
+    _check_labels((P, Q))
+    return P.probs, Q.probs
 
 
 def random_distribution(n: int, rng: np.random.Generator) -> Distribution:
@@ -141,12 +153,18 @@ def alpha_entropy(p, alpha: float) -> float:
     return float(_entropies(as_distribution(p).probs, a))
 
 
+def _binary_entropies(x, a: float) -> np.ndarray:
+    """Order-a entropies of the two-point distributions (x, 1 - x), x in [0, 1] of any shape."""
+    x = np.asarray(x, dtype=float)
+    return _entropies(np.stack([x, 1.0 - x], axis=-1), a)
+
+
 def binary_alpha_entropy(p: float, alpha: float) -> float:
     """Order-alpha entropy of the two-point distribution (p, 1 - p)."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary parameter must lie in [0, 1], got {p}")
-    return alpha_entropy(np.array([p, 1.0 - p]), alpha)
+    return float(_binary_entropies(p, check_alpha(alpha)))
 
 
 def _kl(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -32,6 +32,8 @@ EXIT_USAGE = 64
 EXIT_BAD_FILE = 65
 # cap on the entries gen may write: --count * --n for distributions, --count * --n^2 for states
 GEN_MAX_ENTRIES = 100_000
+# cap on N(N-1)/2 * (entries per point) for the N points of check-negative-type and embed
+POINTS_MAX_ENTRIES = 1_000_000
 
 
 class CliError(Exception):
@@ -130,12 +132,28 @@ def _family(args) -> jensen.WeightedFamily:
 
 
 def _points(obj) -> list:
-    """A JSON list of distributions or of density matrices."""
+    """A JSON list of distributions or of density matrices, refused above POINTS_MAX_ENTRIES."""
     if isinstance(obj, dict) and "members" in obj:
         obj = obj["members"]
     if not isinstance(obj, list) or len(obj) < 2:
         raise CliError("points input must be a JSON list of at least two members")
+    size = max(_point_entries(p) for p in obj)
+    entries = len(obj) * (len(obj) - 1) // 2 * size
+    if entries > POINTS_MAX_ENTRIES:
+        raise CliError(
+            f"{len(obj)} points of {size} entries give {entries} pair entries, "
+            f"above the cap of {POINTS_MAX_ENTRIES}"
+        )
     return obj
+
+
+def _point_entries(point) -> int:
+    """Entries of one raw point: n for a distribution, d^2 for a d x d state."""
+    if isinstance(point, dict):
+        point = point.get("entries", point.get("probs"))
+    if not isinstance(point, list):
+        return 1
+    return len(point) ** 2 if point and isinstance(point[0], list) else len(point)
 
 
 def build_parser() -> _Parser:

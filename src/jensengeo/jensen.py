@@ -16,6 +16,7 @@ import numpy as np
 
 from .classical import (
     Distribution,
+    _check_labels,
     _entropies,
     _kl,
     as_distribution,
@@ -86,6 +87,7 @@ def _validate_points(points) -> tuple[str, tuple]:
     """Validate points as all distributions of one length or all states of one dimension.
 
     The first point decides which; returns the kind and the validated points.
+    Labelled distributions must all carry the same labels.
     """
     if _is_state(points[0]):
         pts = tuple(as_density(p) for p in points)
@@ -95,6 +97,8 @@ def _validate_points(points) -> tuple[str, tuple]:
         kind, sizes, what = "classical", {len(p) for p in pts}, "lengths"
     if len(sizes) != 1:
         raise ValueError(f"points of mixed {what}: {sorted(sizes)}")
+    if kind == "classical":
+        _check_labels(pts)
     return kind, pts
 
 
@@ -279,6 +283,7 @@ def redundancy(fam: WeightedFamily, q) -> float:
     Q = as_distribution(q)
     if len(Q) != len(fam.members[0]):
         raise ValueError("reference distribution has the wrong length")
+    _check_labels(fam.members + (Q,))
     return float(_weighted_mean(fam.weights.probs, _kl(_stack(fam.members), Q.probs)))
 
 

@@ -345,6 +345,17 @@ class TestDiagram:
             assert jd >= lower_L(v, 1.0) - 1e-9
             assert jd <= upper_curve_value(v, 1.0, 3) + 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-12, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_curves_equal_scalar_calls(self, alpha, n):
+        pts = diagram(alpha, n, 23)
+        for (v, lo), (vu, up) in zip(pts.curve_lower, pts.curve_upper):
+            assert v == vu
+            assert abs(lo - lower_L(v, alpha)) <= 1e-15
+            assert abs(up - upper_curve_value(v, alpha, n)) <= 1e-15
+            if n == 2:
+                assert abs(up - upper_U2(v, alpha)) <= 1e-15
+
     def test_endpoint_rows_reproduce_curves(self):
         pts = diagram(1.0, 3, 15)
         lower_rows = [s for s in pts.homotopy_samples if s[0] == 0.0]

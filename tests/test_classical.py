@@ -58,6 +58,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_distribution(bad)
 
+    @pytest.mark.parametrize(
+        "fn", [kl_divergence, total_variation, lambda p, q: alpha_norm_power(p, q, 2.0)]
+    )
+    def test_pairs_refuse_different_labels(self, fn):
+        p = {"probs": [1.0, 0.0], "labels": [1, 2]}
+        with pytest.raises(ValueError, match="different labels"):
+            fn(p, {"probs": [0.0, 1.0], "labels": "ab"})
+        with pytest.raises(ValueError, match="different labels"):
+            fn(p, {"probs": [0.0, 1.0], "labels": [2, 1]})
+        # the same labels, or one side unlabelled, still pair by position
+        assert fn(p, {"probs": [0.5, 0.5], "labels": [1, 2]}) == fn([1.0, 0.0], [0.5, 0.5])
+        assert fn(p, [0.5, 0.5]) == fn([1.0, 0.0], [0.5, 0.5])
+
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
             as_distribution({"probs": [0.5, 0.5], "labels": ["a"]})

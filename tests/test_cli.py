@@ -96,6 +96,22 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION and out == ""
         assert "non-empty" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jd", "--p", '{"probs":[1,0],"labels":[1,2]}',
+             "--q", '{"probs":[0,1],"labels":"ab"}'],
+            ["bounds", "--alpha", "1.5", "--p", '{"probs":[1,0],"labels":"ab"}',
+             "--q", '{"probs":[0,1],"labels":"ba"}'],
+            ["check-negative-type", "--points",
+             '[{"probs":[1,0],"labels":"ab"},{"probs":[0,1],"labels":"ba"},[0.5,0.5]]'],
+        ],
+    )
+    def test_different_labels(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert "different labels" in json.loads(err)["error"]
+
     def test_labels_not_a_list(self, capsys):
         p = '{"probs":[1,0],"labels":5}'
         code, out, err = invoke(capsys, "jd", "--p", p, "--q", "[0,1]")
@@ -274,6 +290,36 @@ class TestGeometryCommands:
         out = out_json(capsys, "cayley-menger", "--matrix", mat)
         assert out["det"] == pytest.approx(-3.0, abs=1e-12)
         assert out["n"] == 3
+
+    @pytest.mark.parametrize("cmd", ["check-negative-type", "embed"])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # N(N-1)/2 * entries just above the cap: 1415 points of one letter, 101 of 200
+            [[1.0]] * 1415,
+            [[1.0 / 200] * 200] * 101,
+            [{"dim": 2, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}] * 708,
+            [np.eye(2).tolist()] * 708,
+        ],
+    )
+    def test_points_cap_before_any_work(self, capsys, monkeypatch, cmd, points):
+        def no_work(*_):
+            raise AssertionError("divergence_matrix ran past the points cap")
+
+        monkeypatch.setattr(cli_module.geometry, "divergence_matrix", no_work)
+        code, out, err = invoke(capsys, cmd, "--points", json.dumps(points))
+        assert code == EXIT_VALIDATION and out == ""
+        assert "cap" in json.loads(err)["error"]
+
+    def test_points_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "POINTS_MAX_ENTRIES", 6)
+        # 3 points of 2 letters make 3 pairs of 2 entries: at the cap
+        out = out_json(capsys, "check-negative-type", "--points", self.POINTS)
+        assert out["is_negative_type"] is True
+        four = json.dumps(json.loads(self.POINTS) + [[0.1, 0.9]])
+        code, _, err = invoke(capsys, "embed", "--points", four)
+        assert code == EXIT_VALIDATION
+        assert "cap of 6" in json.loads(err)["error"]
 
     def test_points_and_matrix_conflict(self, capsys):
         mat = json.dumps([[0.0, 1.0], [1.0, 0.0]])

@@ -35,6 +35,7 @@ from jensengeo.geometry import (
 )
 from jensengeo.jensen import jd_alpha, qjd_alpha
 from jensengeo.quantum import alpha_entropy_q, ginibre_state, random_pure_state, trace_exp_qubit
+from jensengeo.tolerances import tolerance_scale
 
 LN2 = math.log(2.0)
 # triangle defect of the canonical triple at order 2.5: numerator / 1.5
@@ -231,6 +232,70 @@ class TestMengerEmbeddability:
         D = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         assert menger_embeddability(D)
         assert negative_type_check(D).is_negative_type
+
+    @staticmethod
+    def subset_loop(D, tol=None):
+        """The test by definition: one cayley_menger_det per subset, sizes 2..n."""
+        D = np.asarray(D, dtype=float)
+        n = len(D)
+        dmax = max(float(np.max(D)), 0.0)
+        for k in range(2, n + 1):
+            sub_tol = 1e-9 * n * max(dmax, 1e-30) ** (k - 1) * tolerance_scale()
+            sub_tol = sub_tol if tol is None else tol
+            for idx in itertools.combinations(range(n), k):
+                if (-1.0) ** k * cayley_menger_det(D[np.ix_(idx, idx)]) < -sub_tol:
+                    return False
+        return True
+
+    def test_agrees_with_subset_loop(self):
+        rng = np.random.default_rng(41)
+        verdicts = []
+        for n in range(2, 13):
+            # the loop costs 2^n determinants, so the largest sizes get fewer inputs
+            for r in range(26 if n <= 8 else 8 if n <= 10 else 4):
+                if r % 3 == 0:
+                    alpha = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)[r // 3 % 8]
+                    D = divergence_matrix([random_distribution(3, rng) for _ in range(n)], alpha).d
+                elif r % 3 == 1:
+                    D = rng.uniform(0.0, 1.0, (n, n))
+                    D = D + D.T
+                else:
+                    # squared Euclidean distances, symmetrically perturbed about the boundary
+                    x = rng.standard_normal((n, 2))
+                    E = rng.uniform(-0.05, 0.05, (n, n))
+                    D = np.sum((x[:, None] - x[None]) ** 2, axis=2) + E + E.T
+                    D = np.maximum(D, 0.0)
+                np.fill_diagonal(D, 0.0)
+                verdict = menger_embeddability(D)
+                assert verdict == self.subset_loop(D), (n, r)
+                verdicts.append(verdict)
+        assert len(verdicts) >= 200
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_explicit_tolerance(self):
+        D = jd_matrix_of_triple(2.5).d
+        # the triple's only violating subset is the whole set, with (-1)^3 det < 0
+        worst = -cayley_menger_det(D)
+        assert worst < 0.0
+        for tol in (0.0, -worst * 0.99, -worst * 1.01, 1.0):
+            assert menger_embeddability(D, tol=tol) == self.subset_loop(D, tol=tol)
+        assert not menger_embeddability(D, tol=-worst * 0.99)
+        assert menger_embeddability(D, tol=-worst * 1.01)
+
+    def test_twelve_euclidean_points(self):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((12, 3))
+        D = np.sum((x[:, None] - x[None]) ** 2, axis=2)
+        assert menger_embeddability(D)
+
+    def test_twelve_points_containing_the_triple(self):
+        rng = np.random.default_rng(43)
+        others = [np.array([t, 1.0 - t]) for t in rng.uniform(0.0, 1.0, 9)]
+        pts = others[:4] + [np.array(p) for p in COUNTEREXAMPLE_TRIPLE] + others[4:]
+        dm = divergence_matrix(pts, 2.5)
+        assert dm.n == 12
+        assert not menger_embeddability(dm)
+        assert not negative_type_check(dm).is_negative_type
 
 
 class TestEmbed:

@@ -83,6 +83,27 @@ class TestWeightedFamily:
         fam = weighted_family([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.75])
         assert np.allclose(mixture(fam).probs, [0.25, 0.75])
 
+    def test_rejects_different_labels(self):
+        ab = {"probs": [0.5, 0.5], "labels": ["a", "b"]}
+        ba = {"probs": [0.25, 0.75], "labels": ["b", "a"]}
+        for call in (
+            lambda: jd_alpha(ab, ba, 1.5),
+            lambda: weighted_family([ab, ab, ba], [0.2, 0.3, 0.5]),
+            lambda: family_from_json({"weights": [0.5, 0.5], "members": [ab, ba]}),
+            lambda: divergence_matrix([ab, ab, ba], 1.0),
+            lambda: redundancy(weighted_family([ab], [1.0]), ba),
+        ):
+            with pytest.raises(ValueError, match="different labels"):
+                call()
+
+    def test_same_or_missing_labels_pair_by_position(self):
+        ab = {"probs": [1.0, 0.0], "labels": ["a", "b"]}
+        ab2 = {"probs": [0.0, 1.0], "labels": ["a", "b"]}
+        assert jd_alpha(ab, ab2).value == pytest.approx(LN2, abs=1e-15)
+        assert jd_alpha(ab, [0.0, 1.0]).value == pytest.approx(LN2, abs=1e-15)
+        D = divergence_matrix([ab, [0.0, 1.0], ab2], 1.0).d
+        assert D[0, 1] == D[0, 2] == pytest.approx(LN2, abs=1e-15)
+
     def test_json_rejects_members_that_are_not_a_list(self):
         with pytest.raises(ValueError, match="must be a list"):
             family_from_json({"weights": [1], "members": 5})
