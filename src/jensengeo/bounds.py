@@ -42,12 +42,11 @@ import numpy as np
 from .classical import (
     _binary_entropies,
     alpha_norm_power,
-    as_distribution,
     check_alpha,
     total_variation,
 )
-from .jensen import _gaps, jd_alpha, qjd_alpha
-from .quantum import as_density, trace_distance
+from .jensen import _gaps, _validate_points, jd_alpha, qjd_alpha
+from .quantum import trace_distance
 
 __all__ = [
     "BoundReport",
@@ -200,8 +199,7 @@ def bound_report(p, q, alpha: float) -> BoundReport:
     is not L. The upper bound holds for orders in (0, 2].
     """
     a = check_alpha(alpha)
-    P = as_distribution(p)
-    Q = as_distribution(q)
+    P, Q = _validate_points((p, q), "classical")[1]
     n = len(P)
     v = total_variation(P, Q)
     value = jd_alpha(P, Q, a).value
@@ -234,8 +232,7 @@ def q_bound_report(rho1, rho2, alpha: float) -> BoundReport:
     is (ln 2 / 2) T, a bound only for orders in [1, 2].
     """
     a = check_alpha(alpha)
-    r1 = as_density(rho1)
-    r2 = as_density(rho2)
+    r1, r2 = _validate_points((rho1, rho2), "quantum")[1]
     t = trace_distance(r1, r2)
     value = qjd_alpha(r1, r2, a).value
     return BoundReport(
@@ -270,8 +267,7 @@ def chain_check(p, q, alpha: float) -> ChainBounds:
     a = check_alpha(alpha)
     if not 1.0 <= a <= 2.0:
         raise ValueError(f"chain is asserted for orders in [1, 2], got {a}")
-    P = as_distribution(p)
-    Q = as_distribution(q)
+    P, Q = _validate_points((p, q), "classical")[1]
     v = total_variation(P, Q)
     return ChainBounds(
         v_sq_over_8=v**2 / 8.0,
@@ -358,7 +354,7 @@ def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
     Q = ((1.0 - t) * QL + t * QU).reshape(-1, n)
     m = len(P)
     pairs = np.arange(2 * m).reshape(2, m).T
-    values = _gaps(np.concatenate([P, Q]), pairs, np.full(pairs.shape, 0.5), a)
+    values = _gaps(np.concatenate([P, Q]), pairs, np.full(pairs.shape, 0.5), a)[0]
     v_actual = np.sum(np.abs(P - Q), axis=1)
     samples = list(zip(np.repeat(ts, grid).tolist(), v_actual.tolist(), values.tolist()))
     return DiagramPoints(

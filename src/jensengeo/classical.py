@@ -59,9 +59,19 @@ def as_distribution(p) -> Distribution:
     (-1e-12, 0) are clipped to zero; the vector is renormalized when its
     total deviates from 1 by at most 1e-9, and rejected beyond that.
     """
-    labels = None
     if isinstance(p, Distribution):
         return p
+    probs, labels = _distribution_array(p)
+    return Distribution(probs=_validate_distributions(probs[None])[0], labels=labels)
+
+
+def _distribution_array(p) -> tuple[np.ndarray, tuple | None]:
+    """A raw vector or ``"probs"`` mapping as a 1-D float array and its labels.
+
+    Checks the shape and the labels; the values are left to
+    ``_validate_distributions``.
+    """
+    labels = None
     if isinstance(p, dict):
         if "probs" not in p:
             raise ValueError('distribution mapping must contain "probs"')
@@ -76,30 +86,46 @@ def as_distribution(p) -> Distribution:
         probs = np.asarray(p, dtype=float)
     except TypeError:
         raise ValueError("distribution entries must be numbers") from None
+    except OverflowError:
+        raise ValueError("distribution entries must be finite") from None
     if probs.ndim != 1 or probs.shape[0] < 1:
         raise ValueError(f"distribution must be a non-empty 1-D vector, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("distribution entries must be finite")
-    if np.any(probs < -NEG_CLIP):
-        raise ValueError(f"negative probability below tolerance: min = {probs.min()}")
-    probs = np.where(probs < 0.0, 0.0, probs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    if total != 1.0:
-        probs = probs / total
     if labels is not None and len(labels) != probs.shape[0]:
         raise ValueError("labels and probs have different lengths")
-    return Distribution(probs=probs, labels=labels)
+    return probs, labels
 
 
-def _check_labels(dists) -> None:
-    """Refuse validated distributions whose labels differ.
+def _validate_distributions(P: np.ndarray) -> np.ndarray:
+    """The probability checks of ``as_distribution`` on every row of an (N, n) float array.
+
+    Returns the rows with entries in (-NEG_CLIP, 0) set to zero and each
+    row whose total is within SUM_TOL of 1 (but not 1) divided by it.
+    Where several rows fail, the first check that any row fails is
+    reported, for the first row that fails it.
+    """
+    if not np.isfinite(P).all():
+        raise ValueError("distribution entries must be finite")
+    if P.min() < -NEG_CLIP:
+        row = P[np.argmax((P < -NEG_CLIP).any(axis=-1))]
+        raise ValueError(f"negative probability below tolerance: min = {row.min()}")
+    P = np.where(P < 0.0, 0.0, P)
+    totals = P.sum(axis=-1, keepdims=True)
+    dev = np.abs(totals - 1.0)
+    if dev.max() > SUM_TOL:
+        total = float(totals[np.argmax(dev > SUM_TOL), 0])
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    np.divide(P, totals, out=P, where=dev != 0.0)
+    return P
+
+
+def _check_labels(labels) -> None:
+    """Refuse the labels of validated distributions when they differ.
 
     Entries are compared by position, which matches letters only over one
-    labelled alphabet; an unlabelled distribution pairs by position with any.
+    labelled alphabet; an unlabelled distribution (labels None) pairs by
+    position with any.
     """
-    labels = [d.labels for d in dists if d.labels is not None]
+    labels = [lab for lab in labels if lab is not None]
     other = next((lab for lab in labels if lab != labels[0]), None)
     if other is not None:
         raise ValueError(f"distributions carry different labels: {labels[0]} and {other}")
@@ -109,7 +135,7 @@ def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
     P, Q = as_distribution(p), as_distribution(q)
     if len(P) != len(Q):
         raise ValueError(f"length mismatch: {len(P)} vs {len(Q)}")
-    _check_labels((P, Q))
+    _check_labels((P.labels, Q.labels))
     return P.probs, Q.probs
 
 

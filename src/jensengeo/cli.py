@@ -267,13 +267,8 @@ def _cmd_jd(args):
 
 
 def _cmd_qjd(args):
-    return {
-        "value": jensen.qjd_alpha(
-            quantum.as_density(_load_input(args, "rho1")),
-            quantum.as_density(_load_input(args, "rho2")),
-            args.alpha,
-        ).value
-    }
+    rho1, rho2 = _load_input(args, "rho1"), _load_input(args, "rho2")
+    return {"value": jensen.qjd_alpha(rho1, rho2, args.alpha).value}
 
 
 def _cmd_jd_general(args):
@@ -329,7 +324,7 @@ def _cmd_bounds(args):
     if p is not None and q is not None and r1 is None and r2 is None:
         rep = bounds_mod.bound_report(p, q, args.alpha)
     elif r1 is not None and r2 is not None and p is None and q is None:
-        rep = bounds_mod.q_bound_report(quantum.as_density(r1), quantum.as_density(r2), args.alpha)
+        rep = bounds_mod.q_bound_report(r1, r2, args.alpha)
     else:
         raise CliError("pass either --p and --q, or --rho1 and --rho2")
     return {

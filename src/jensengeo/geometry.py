@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import Distribution, as_distribution, check_alpha
-from .jensen import _gaps, _stack, _validate_points
+from .jensen import _gaps, _validated_stack
 from .quantum import _is_state, as_density
 from .tolerances import tolerance_scale
 
@@ -120,11 +120,17 @@ def as_distance_matrix(obj) -> DistanceMatrix:
     if isinstance(obj, dict):
         if "d" not in obj:
             raise ValueError('distance mapping must contain "d"')
-        if "n" in obj and int(obj["n"]) != len(obj["d"]):
-            raise ValueError('"n" does not match the matrix size')
-        labels = tuple(obj["labels"]) if obj.get("labels") is not None else None
+        try:
+            if "n" in obj and int(obj["n"]) != len(obj["d"]):
+                raise ValueError('"n" does not match the matrix size')
+            labels = tuple(obj["labels"]) if obj.get("labels") is not None else None
+        except (TypeError, OverflowError):
+            raise ValueError('distance "n" must be an integer, "d" and "labels" lists') from None
         obj = obj["d"]
-    D = np.asarray(obj, dtype=float)
+    try:
+        D = np.asarray(obj, dtype=float)
+    except (TypeError, OverflowError):
+        raise ValueError("distance matrix entries must be finite numbers") from None
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {D.shape}")
     if not np.all(np.isfinite(D)):
@@ -150,7 +156,7 @@ def divergence_matrix(points, alpha: float = 1.0) -> DistanceMatrix:
     n = len(points)
     i, j = np.triu_indices(n, k=1)
     pairs = np.stack([i, j], axis=1)
-    values = _gaps(_stack(_validate_points(points)[1]), pairs, np.full(pairs.shape, 0.5), a)
+    values = _gaps(_validated_stack(points)[1], pairs, np.full(pairs.shape, 0.5), a)[0]
     D = np.zeros((n, n))
     # tiny negative float residue near coincident points is floored
     D[i, j] = D[j, i] = np.maximum(values, 0.0)
@@ -159,12 +165,11 @@ def divergence_matrix(points, alpha: float = 1.0) -> DistanceMatrix:
 
 def sum_zero_basis(n: int) -> np.ndarray:
     """Orthonormal n x (n-1) basis of the subspace orthogonal to the all-ones vector."""
-    W = np.zeros((n, n - 1))
-    for k in range(1, n):
-        W[:k, k - 1] = 1.0
-        W[k, k - 1] = -float(k)
-        W[:, k - 1] /= math.sqrt(k * (k + 1))
-    return W
+    # column k - 1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), with k ones
+    k = np.arange(1, n)
+    W = (np.arange(n)[:, None] < k).astype(float)
+    W[k, k - 1] = -k
+    return W / np.sqrt(k * (k + 1))
 
 
 def default_negative_type_tol(D: np.ndarray) -> float:

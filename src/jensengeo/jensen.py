@@ -17,8 +17,10 @@ import numpy as np
 from .classical import (
     Distribution,
     _check_labels,
+    _distribution_array,
     _entropies,
     _kl,
+    _validate_distributions,
     as_distribution,
     check_alpha,
     kl_divergence,
@@ -27,8 +29,11 @@ from .quantum import (
     EIG_FLOOR,
     DensityMatrix,
     _clipped,
+    _density_array,
     _is_state,
+    _json_matrix,
     _relative_entropies,
+    _validate_densities,
     as_density,
     relative_entropy,
     validate_density,
@@ -58,8 +63,8 @@ __all__ = [
 # averaged-relative-entropy form
 DUAL_TOL_CLASSICAL = 1e-10
 DUAL_TOL_QUANTUM = 1e-9
-# the even weights of a pair, validated once
-_EVEN = Distribution(probs=np.array([0.5, 0.5]))
+# the even weights of a pair
+_EVEN = np.array([0.5, 0.5])
 
 
 @dataclass(frozen=True)
@@ -76,35 +81,82 @@ class WeightedFamily:
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    """A divergence value (nats) tagged with its order and producing formula."""
+    """A divergence value (nats) tagged with its order and producing formula.
+
+    ``dual_residual`` is |entropy difference - averaged relative entropy|
+    at order 1, the margin of the cross-check against DUAL_TOL_CLASSICAL
+    or DUAL_TOL_QUANTUM, and None at other orders.
+    """
 
     value: float
     alpha: float
     via: str  # "entropy_difference" | "kl_average"
+    dual_residual: float | None = None
 
 
-def _validate_points(points) -> tuple[str, tuple]:
+def _validated_stack(points, kind: str | None = None) -> tuple[str, np.ndarray, list]:
     """Validate points as all distributions of one length or all states of one dimension.
 
-    The first point decides which; returns the kind and the validated points.
-    Labelled distributions must all carry the same labels.
+    ``kind`` ("classical" or "quantum") says which; by default the first
+    point decides. Distribution and DensityMatrix objects are already
+    valid and pass through. Every other point is parsed on its own (a
+    mapping to its array and labels) and shape-checked, and then the
+    value checks of ``_validate_distributions`` or ``_validate_densities``
+    run once, over the stack of all of them. Labelled distributions must
+    all carry the same labels. Returns the kind, the validated points
+    stacked as (N, n) or (N, d, d), and their labels (None for states).
     """
-    if _is_state(points[0]):
-        pts = tuple(as_density(p) for p in points)
-        kind, sizes, what = "quantum", {p.dim for p in pts}, "dimensions"
+    if kind is None:
+        kind = "quantum" if _is_state(points[0]) else "classical"
+    if kind == "quantum":
+        cls, what, validate = DensityMatrix, "dimensions", _validate_densities
     else:
-        pts = tuple(as_distribution(p) for p in points)
-        kind, sizes, what = "classical", {len(p) for p in pts}, "lengths"
+        cls, what, validate = Distribution, "lengths", _validate_distributions
+    parts = [_parts(p) if isinstance(p, cls) else _parse(p, kind) for p in points]
+    sizes = {len(a) for a, _ in parts}
     if len(sizes) != 1:
         raise ValueError(f"points of mixed {what}: {sorted(sizes)}")
+    X = np.array([a for a, _ in parts])
+    raw = [i for i, p in enumerate(points) if not isinstance(p, cls)]
+    if raw:
+        X[raw] = validate(X[raw])
+    labels = [lab for _, lab in parts]
+    _check_labels(labels)
+    return kind, X, labels
+
+
+def _parts(point) -> tuple[np.ndarray, tuple | None]:
+    """The array and labels of a Distribution, or the matrix of a DensityMatrix and None."""
+    if isinstance(point, DensityMatrix):
+        return point.matrix, None
+    return point.probs, point.labels
+
+
+def _parse(point, kind: str) -> tuple[np.ndarray, tuple | None]:
+    """A raw point or mapping of the given kind as its shape-checked array and labels."""
     if kind == "classical":
-        _check_labels(pts)
-    return kind, pts
+        return _distribution_array(point)
+    return _density_array(_json_matrix(point) if isinstance(point, dict) else point), None
+
+
+def _validate_points(points, kind: str | None = None) -> tuple[str, tuple]:
+    """``_validated_stack`` as point objects: the kind and the validated points.
+
+    Points that were Distribution or DensityMatrix objects already are returned as they are.
+    """
+    kind, X, labels = _validated_stack(points, kind)
+
+    def point(p, x, lab):
+        if isinstance(p, (Distribution, DensityMatrix)):
+            return p
+        return DensityMatrix(matrix=x) if kind == "quantum" else Distribution(probs=x, labels=lab)
+
+    return kind, tuple(map(point, points, X, labels))
 
 
 def _stack(points: tuple) -> np.ndarray:
     """Validated points as one (N, n) or (N, d, d) array."""
-    return np.stack([p.matrix if isinstance(p, DensityMatrix) else p.probs for p in points])
+    return np.array([_parts(p)[0] for p in points])
 
 
 def _mix(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -118,20 +170,22 @@ def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (weights * np.where(weights > 0.0, values, 0.0)).sum(axis=-1)
 
 
-def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np.ndarray:
+def _gaps(
+    X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Order-a concavity gaps of R weighted families of validated points.
 
     ``X`` stacks the points, distributions as (N, n) or states as
     (N, d, d); row r of ``index`` (R, k) picks the members of family r and
     row r of ``weights`` (R, k) their weights. Returns, for every r,
-    S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]). Every point and every
-    mixture is decomposed once, in one stacked call per side. The gaps
-    are nonnegative by concavity, so float noise below zero (and -0.0)
-    is returned as 0.0. At order 1
-    each gap is checked against the averaged relative entropy
-    sum_j w_rj D(X[index_rj] || mixture_r) from the same decompositions,
-    and a disagreement beyond DUAL_TOL_CLASSICAL / DUAL_TOL_QUANTUM
-    raises ArithmeticError.
+    S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]), and the dual residuals
+    (None away from order 1). Every point and every mixture is decomposed
+    once, in one stacked call per side. The gaps are nonnegative by
+    concavity, so float noise below zero (and -0.0) is returned as 0.0.
+    At order 1 each gap is checked against the averaged relative entropy
+    sum_j w_rj D(X[index_rj] || mixture_r) from the same decompositions:
+    the residuals are |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
+    DUAL_TOL_QUANTUM raises ArithmeticError.
     """
     quantum = X.ndim == 3
     mix = _mix(X[index], weights)
@@ -148,7 +202,7 @@ def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np
     gaps = _entropies(wm, a) - (weights * _entropies(wx, a)[index]).sum(axis=-1)
     floored = np.where(gaps <= 0.0, 0.0, gaps)
     if a != 1.0:
-        return floored
+        return floored, None
     if quantum:
         d = _relative_entropies(wx[index], Vx[index], wm[:, None], Vm[:, None])
         tol = DUAL_TOL_QUANTUM
@@ -156,28 +210,31 @@ def _gaps(X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float) -> np
         d = _kl(X[index], mix[:, None])
         tol = DUAL_TOL_CLASSICAL
     avg = _weighted_mean(weights, d)
-    bad = ~np.isfinite(avg) | (np.abs(gaps - avg) > tol)
+    residual = np.abs(gaps - avg)
+    bad = ~np.isfinite(avg) | (residual > tol)
     if bad.any():
         r = int(np.argmax(bad))
         raise ArithmeticError(
             f"entropy-difference ({gaps[r]}) and divergence-average ({avg[r]}) forms disagree"
         )
-    return floored
+    return floored, residual
 
 
-def weighted_family(members, weights) -> WeightedFamily:
+def weighted_family(members, weights, kind: str | None = None) -> WeightedFamily:
     """Validate members and weights into a homogeneous weighted family.
 
     Members must all be classical distributions of one length, or all be
-    density matrices of one dimension. A single member is accepted (the
-    divergence is then trivially zero).
+    density matrices of one dimension; ``kind`` ("classical" or
+    "quantum") requires one of the two, and by default the first member
+    decides. A single member is accepted (the divergence is then
+    trivially zero).
     """
     if len(members) < 1:
         raise ValueError("family needs at least one member")
     w = as_distribution(weights)
     if len(w) != len(members):
         raise ValueError(f"{len(members)} members but {len(w)} weights")
-    kind, pts = _validate_points(members)
+    kind, pts = _validate_points(members, kind)
     return WeightedFamily(members=pts, weights=w, kind=kind)
 
 
@@ -189,22 +246,24 @@ def family_from_json(obj: dict) -> WeightedFamily:
     members = obj["members"]
     if not isinstance(members, list):
         raise ValueError('family "members" must be a list')
-    if kind == "quantum":
-        members = [as_density(m) for m in members]
-    elif kind == "classical":
-        members = [as_distribution(m) for m in members]
-    elif kind is not None:
+    if kind not in (None, "classical", "quantum"):
         raise ValueError(f'kind must be "classical" or "quantum", got {kind!r}')
-    return weighted_family(members, obj["weights"])
+    return weighted_family(members, obj["weights"], kind)
 
 
 def family_to_json(fam: WeightedFamily) -> dict:
+    """The wire format of ``family_from_json``; labelled members keep their labels."""
     from .quantum import density_to_json
 
     if fam.kind == "quantum":
         members = [density_to_json(m) for m in fam.members]
     else:
-        members = [list(map(float, m.probs)) for m in fam.members]
+        members = [
+            list(map(float, m.probs))
+            if m.labels is None
+            else {"probs": list(map(float, m.probs)), "labels": list(m.labels)}
+            for m in fam.members
+        ]
     return {
         "weights": list(map(float, fam.weights.probs)),
         "members": members,
@@ -223,13 +282,16 @@ def _require_kind(fam: WeightedFamily, kind: str) -> None:
         raise ValueError(f"need a {kind} family, got {fam.kind}")
 
 
-def _divergence(fam: WeightedFamily, alpha: float, kind: str) -> DivergenceResult:
-    """The order-alpha gap of one family of the given kind, through ``_gaps``."""
+def _divergence(X: np.ndarray, weights: np.ndarray, alpha: float) -> DivergenceResult:
+    """The order-alpha gap of one family whose validated members ``X`` stacks, through ``_gaps``."""
     a = check_alpha(alpha)
-    _require_kind(fam, kind)
-    index = np.arange(len(fam))[None]
-    value = _gaps(_stack(fam.members), index, fam.weights.probs[None], a)[0]
-    return DivergenceResult(value=float(value), alpha=a, via="entropy_difference")
+    values, residuals = _gaps(X, np.arange(len(X))[None], weights[None], a)
+    return DivergenceResult(
+        value=float(values[0]),
+        alpha=a,
+        via="entropy_difference",
+        dual_residual=None if residuals is None else float(residuals[0]),
+    )
 
 
 def jd_general(fam: WeightedFamily) -> DivergenceResult:
@@ -244,13 +306,13 @@ def jd_general(fam: WeightedFamily) -> DivergenceResult:
 
 def jd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     """Order-alpha Jensen divergence S_a(mixture) - sum_i pi_i S_a(P_i)."""
-    return _divergence(fam, alpha, "classical")
+    _require_kind(fam, "classical")
+    return _divergence(_stack(fam.members), fam.weights.probs, alpha)
 
 
 def jd_alpha(p, q, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha Jensen divergence of two distributions with even weights."""
-    fam = weighted_family([as_distribution(p), as_distribution(q)], _EVEN)
-    return jd_alpha_general(fam, alpha)
+    return _divergence(_validated_stack((p, q), "classical")[1], _EVEN, alpha)
 
 
 def qjd_general(fam: WeightedFamily) -> DivergenceResult:
@@ -264,13 +326,13 @@ def qjd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     For alpha != 1 only the entropy-difference form is defined; there is
     no averaged-relative-entropy identity away from order 1.
     """
-    return _divergence(fam, alpha, "quantum")
+    _require_kind(fam, "quantum")
+    return _divergence(_stack(fam.members), fam.weights.probs, alpha)
 
 
 def qjd_alpha(rho, sigma, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha quantum Jensen divergence of two states with even weights."""
-    fam = weighted_family([as_density(rho), as_density(sigma)], _EVEN)
-    return qjd_alpha_general(fam, alpha)
+    return _divergence(_validated_stack((rho, sigma), "quantum")[1], _EVEN, alpha)
 
 
 def redundancy(fam: WeightedFamily, q) -> float:
@@ -283,7 +345,7 @@ def redundancy(fam: WeightedFamily, q) -> float:
     Q = as_distribution(q)
     if len(Q) != len(fam.members[0]):
         raise ValueError("reference distribution has the wrong length")
-    _check_labels(fam.members + (Q,))
+    _check_labels([m.labels for m in fam.members + (Q,)])
     return float(_weighted_mean(fam.weights.probs, _kl(_stack(fam.members), Q.probs)))
 
 

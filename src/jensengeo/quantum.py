@@ -73,29 +73,54 @@ def validate_density(raw) -> DensityMatrix:
     an eigenvalue below -1e-8. Smaller negative eigenvalues are kept and
     clipped to zero only when entropic quantities are evaluated.
     """
+    return DensityMatrix(matrix=_validate_densities(_density_array(raw)[None])[0])
+
+
+def _density_array(raw) -> np.ndarray:
+    """A raw matrix as a square complex array; the values are left to ``_validate_densities``."""
     try:
         A = np.asarray(raw, dtype=complex)
     except TypeError:
         raise ValueError("density matrix entries must be numbers") from None
+    except OverflowError:
+        raise ValueError("density matrix entries must be finite") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {A.shape}")
     if A.shape[0] < 1:
         raise ValueError("density matrix must be at least 1x1")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    return A
+
+
+def _validate_densities(A: np.ndarray) -> np.ndarray:
+    """The state checks of ``validate_density`` on every matrix of an (N, d, d) complex array.
+
+    Returns the matrices symmetrized, with each trace within TRACE_TOL of
+    1 (but not 1) divided out; the smallest eigenvalues come from one
+    stacked ``eigvalsh``. Where several matrices fail, the first check
+    that any matrix fails is reported, for the first matrix that fails it.
+    """
+    if not np.isfinite(A).all():
         raise ValueError("density matrix entries must be finite")
-    asym = float(np.max(np.abs(A - A.conj().T)))
-    if asym > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    A = (A + A.conj().T) / 2.0
-    tr = float(np.trace(A).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {tr}, not 1")
-    if tr != 1.0:
-        A = A / tr
-    w_min = float(np.linalg.eigvalsh(A)[0])
-    if w_min < EIG_FLOOR:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {w_min:.3e}")
-    return DensityMatrix(matrix=A)
+    AH = np.swapaxes(A.conj(), -1, -2)
+    asym = np.abs(A - AH)
+    if asym.max() > HERM_TOL:
+        worst = asym.max(axis=(-2, -1))
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {worst[np.argmax(worst > HERM_TOL)]:.3e}"
+        )
+    A = (A + AH) / 2.0
+    tr = A.diagonal(0, -2, -1).sum(axis=-1).real
+    dev = np.abs(tr - 1.0)
+    if dev.max() > TRACE_TOL:
+        raise ValueError(f"trace is {float(tr[np.argmax(dev > TRACE_TOL)])}, not 1")
+    np.divide(A, tr[:, None, None], out=A, where=(dev != 0.0)[:, None, None])
+    w_min = np.linalg.eigvalsh(A)[:, 0]
+    if w_min.min() < EIG_FLOOR:
+        raise ValueError(
+            "matrix is not positive semidefinite: "
+            f"min eigenvalue {w_min[np.argmax(w_min < EIG_FLOOR)]:.3e}"
+        )
+    return A
 
 
 def as_density(obj) -> DensityMatrix:
@@ -124,13 +149,18 @@ def density_to_json(rho) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
+    return validate_density(_json_matrix(obj))
+
+
+def _json_matrix(obj: dict) -> np.ndarray:
+    """The complex matrix of a wire-format mapping, checked against its "dim"."""
     if "entries" not in obj:
         raise ValueError('density mapping must contain "entries"')
     try:
         pairs = np.asarray(obj["entries"], dtype=float)
         if pairs.ndim != 3 or pairs.shape[2] != 2:
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError('density "entries" must be rows of [re, im] pairs') from None
     A = pairs[..., 0] + 1j * pairs[..., 1]
     if "dim" in obj:
@@ -140,7 +170,7 @@ def density_from_json(obj: dict) -> DensityMatrix:
             raise ValueError(f'density "dim" must be an integer, got {obj["dim"]!r}') from None
         if dim != A.shape[0]:
             raise ValueError(f'"dim" is {obj["dim"]} but entries are {A.shape[0]}x{A.shape[1]}')
-    return validate_density(A)
+    return A
 
 
 def spectrum(rho, with_vectors: bool = False) -> Spectrum:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import jensengeo
 from jensengeo import cli as cli_module
@@ -419,3 +423,95 @@ class TestGen:
         out = out_json(capsys, "jd", "--p-file", str(f), "--q", "[0.5,0.5]")
         # a CSV file holds one distribution per line; a single row is the vector
         assert out["value"] == pytest.approx(0.0, abs=1e-15)
+
+
+# Arbitrary JSON, biased towards the shapes the parsers read: probability-like
+# numbers, rows of [re, im] pairs, the mapping keys of the wire formats, and
+# integers too large for a float.
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats()
+    | st.floats(min_value=0.0, max_value=1.0)
+    | st.sampled_from(["classical", "quantum", "a", ""])
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(
+            ["probs", "labels", "entries", "dim", "weights", "members", "kind", "d", "n", "x"]
+        ),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+_INLINE = [
+    ["jd", "--p", "{0}", "--q", "{1}"],
+    ["qjd", "--alpha", "0.5", "--rho1", "{0}", "--rho2", "{1}"],
+    ["bounds", "--alpha", "1.5", "--p", "{0}", "--q", "{1}"],
+    ["bounds", "--alpha", "1", "--rho1", "{0}", "--rho2", "{1}"],
+    ["chain", "--alpha", "2", "--p", "{0}", "--q", "{1}"],
+    ["entropy", "--rho", "{0}"],
+    ["jd-general", "--family", "{0}"],
+    ["qjd-general", "--family", "{0}"],
+    ["identities", "--family", "{0}", "--q", "{1}"],
+    ["identities", "--family", "{0}", "--sigma", "{1}"],
+    ["redundancy", "--family", "{0}", "--q", "{1}"],
+    ["holevo", "--family", "{0}"],
+    ["entropy", "--p", "{0}"],
+    ["check-negative-type", "--matrix", "{0}"],
+    ["embed", "--matrix", "{0}"],
+    ["cayley-menger", "--matrix", "{0}"],
+]
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _assert_documented_outcome(code: int, err: str) -> None:
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_BAD_FILE)
+    if code != EXIT_OK:
+        report = json.loads(err)
+        assert isinstance(report, dict) and "error" in report
+
+
+class TestFuzzedInputs:
+    """Any JSON handed to an input gives a documented exit code and a JSON error."""
+
+    @given(st.sampled_from(_INLINE), _json_values, _json_values)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_inline_inputs(self, template, x, y):
+        argv = [arg.format(json.dumps(x), json.dumps(y)) for arg in template]
+        _assert_documented_outcome(*_run_quietly(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jd", "--p", f"[{10**400}, 0]", "--q", "[1, 0]"],
+            ["qjd", "--rho1", f"[[{10**400}, 0], [0, 0]]", "--rho2", "[[1, 0], [0, 0]]"],
+            ["qjd", "--rho1", f'{{"entries": [[[{10**400}, 0]]]}}', "--rho2", "[[1]]"],
+            ["cayley-menger", "--matrix", f"[[0, {10**400}], [1, 0]]"],
+            ["check-negative-type", "--matrix", '{"d": [[0]], "n": []}'],
+            ["embed", "--matrix", '{"d": [[0, 1], [1, 0]], "labels": 5}'],
+        ],
+    )
+    def test_found_by_fuzzing(self, argv):
+        # integers too large for a float, and mapping fields of the wrong type
+        code, err = _run_quietly(argv)
+        assert code == EXIT_VALIDATION
+        assert "error" in json.loads(err)
+
+    @given(st.sampled_from(["check-negative-type", "embed"]), _json_values)
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_points_file(self, tmp_path_factory, command, points):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_points.json"
+        path.write_text(json.dumps(points))
+        _assert_documented_outcome(*_run_quietly([command, "--points-file", str(path)]))

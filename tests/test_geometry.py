@@ -141,6 +141,16 @@ class TestNegativeType:
             assert np.allclose(W.T @ W, np.eye(n - 1), atol=1e-14)
             assert np.allclose(W.T @ np.ones(n), 0.0, atol=1e-14)
 
+    def test_sum_zero_basis_matches_the_column_formula(self):
+        # column k - 1 built one at a time: k ones, then -k, scaled by 1/sqrt(k (k + 1))
+        for n in range(1, 41):
+            loop = np.zeros((n, n - 1))
+            for k in range(1, n):
+                loop[:k, k - 1] = 1.0
+                loop[k, k - 1] = -float(k)
+                loop[:, k - 1] /= math.sqrt(k * (k + 1))
+            assert np.array_equal(sum_zero_basis(n), loop)
+
     def test_two_points_always_negative_type(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

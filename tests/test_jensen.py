@@ -5,6 +5,7 @@ import pytest
 
 from jensengeo.classical import (
     binary_alpha_entropy,
+    kl_divergence,
     random_distribution,
     shannon_entropy,
 )
@@ -79,6 +80,24 @@ class TestWeightedFamily:
         assert again.kind == "classical"
         assert np.allclose(again.weights.probs, fam.weights.probs)
 
+    def test_json_round_trip_keeps_labels(self):
+        ab = {"probs": [0.5, 0.5], "labels": ["a", "b"]}
+        fam = weighted_family([ab, [0.25, 0.75], ab], [0.2, 0.3, 0.5])
+        wire = family_to_json(fam)
+        assert wire["members"][0] == {"probs": [0.5, 0.5], "labels": ["a", "b"]}
+        assert wire["members"][1] == [0.25, 0.75]
+        again = family_from_json(wire)
+        assert [m.labels for m in again.members] == [("a", "b"), None, ("a", "b")]
+        assert family_to_json(again) == wire
+        # the labels survive the trip, so a differently labelled partner is still refused
+        ba = {"probs": [0.25, 0.75], "labels": ["b", "a"]}
+        for call in (
+            lambda: weighted_family(list(again.members) + [ba], [0.25] * 4),
+            lambda: redundancy(again, ba),
+        ):
+            with pytest.raises(ValueError, match="different labels"):
+                call()
+
     def test_mixture(self):
         fam = weighted_family([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.75])
         assert np.allclose(mixture(fam).probs, [0.25, 0.75])
@@ -111,6 +130,34 @@ class TestWeightedFamily:
 
 class TestDualCrossCheck:
     """The order-1 cross-check against the averaged relative entropy fires."""
+
+    def test_residual_is_reported_within_tolerance(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            k = int(rng.integers(2, 5))
+            w = rng.dirichlet(np.ones(k))
+            fam = weighted_family([random_distribution(4, rng) for _ in range(k)], w)
+            qfam = weighted_family([ginibre_state(3, rng) for _ in range(k)], w)
+            p, q = random_distribution(5, rng), random_distribution(5, rng)
+            r1, r2 = ginibre_state(2, rng), random_pure_state(2, rng)
+            for res, tol in (
+                (jd_general(fam), jensen.DUAL_TOL_CLASSICAL),
+                (jd_alpha(p, q), jensen.DUAL_TOL_CLASSICAL),
+                (qjd_general(qfam), jensen.DUAL_TOL_QUANTUM),
+                (qjd_alpha(r1, r2), jensen.DUAL_TOL_QUANTUM),
+            ):
+                assert 0.0 <= res.dual_residual <= tol
+            # there is no dual form to compare with away from order 1
+            assert jd_alpha_general(fam, 1.5).dual_residual is None
+            assert qjd_alpha(r1, r2, 0.5).dual_residual is None
+
+    def test_residual_is_the_gap_between_the_forms(self):
+        fam = weighted_family(*self.FAMILY)
+        avg = sum(
+            w * kl_divergence(m, mixture(fam)) for w, m in zip(fam.weights.probs, fam.members)
+        )
+        res = jd_general(fam)
+        assert res.dual_residual == pytest.approx(abs(res.value - avg), abs=1e-15)
 
     FAMILY = ([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]], [0.2, 0.3, 0.5])
 
