@@ -39,14 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import (
-    _binary_entropies,
-    alpha_norm_power,
-    check_alpha,
-    total_variation,
-)
-from .jensen import _gaps, _validate_points, jd_alpha, qjd_alpha
-from .quantum import trace_distance
+from .classical import _aligned, _binary_entropies, check_alpha
+from .jensen import _EVEN, _divergence, _gaps, _validated_stack
 
 __all__ = [
     "BoundReport",
@@ -140,14 +134,27 @@ def _lower_is_L(alpha: float, n: int) -> bool:
     return alpha == 1.0 or (n <= 2 and alpha <= 2.0)
 
 
+def _distance(X: np.ndarray) -> float:
+    """V of a validated (2, n) pair, or T of a validated (2, d, d) pair."""
+    diff = X[0] - X[1]
+    if X.ndim == 3:
+        diff = np.linalg.eigvalsh(diff)
+    return float(np.sum(np.abs(diff)))
+
+
+def _upper_Un(X: np.ndarray, a: float) -> float:
+    """``upper_Un`` of a validated (2, n) pair."""
+    if a == 1.0:
+        return (LN2 / 2.0) * _distance(X)
+    # (1/2 - 2^-a) / (a - 1), without its cancellation near a = 1
+    coeff = -0.5 * math.expm1(-(a - 1.0) * LN2) / (a - 1.0)
+    return coeff * float(np.sum(np.abs(X[0] - X[1]) ** a))
+
+
 def upper_Un(p, q, alpha: float) -> float:
     """(1/(a-1)) (1/2 - 2^-a) ||P - Q||_a^a, with the order-1 limit (ln 2 / 2) V."""
     a = check_alpha(alpha)
-    if a == 1.0:
-        return (LN2 / 2.0) * total_variation(p, q)
-    # (1/2 - 2^-a) / (a - 1), without its cancellation near a = 1
-    coeff = -0.5 * math.expm1(-(a - 1.0) * LN2) / (a - 1.0)
-    return coeff * alpha_norm_power(p, q, a)
+    return _upper_Un(np.stack(_aligned(p, q)), a)
 
 
 def upper_U2(v: float, alpha: float) -> float:
@@ -155,16 +162,32 @@ def upper_U2(v: float, alpha: float) -> float:
     return float(_curves(_check_v(v), check_alpha(alpha), 2)[1])
 
 
-def lower_witness_pair(v: float, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """The swapped near-uniform pair attaining the lower bound at total variation v."""
-    v = _check_v(v)
+def _witness_pairs(v, n: int) -> np.ndarray:
+    """Both witness pairs at validated distances v of any shape, as one array.
+
+    Returns W of shape (2,) + v.shape + (2, n): W[0] holds the pairs (P, Q)
+    of ``lower_witness_pair`` and W[1] those of ``upper_witness_pair``.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    p = np.zeros(n)
-    q = np.zeros(n)
-    p[0], p[1] = 0.5 + v / 4.0, 0.5 - v / 4.0
-    q[0], q[1] = 0.5 - v / 4.0, 0.5 + v / 4.0
-    return p, q
+    v = np.asarray(v, dtype=float)
+    W = np.zeros((2,) + v.shape + (2, n))
+    lower, upper = W
+    lower[..., 0, 0] = lower[..., 1, 1] = 0.5 + v / 4.0
+    lower[..., 0, 1] = lower[..., 1, 0] = 0.5 - v / 4.0
+    if n == 2:
+        upper[..., 0, 0] = v / 2.0
+        upper[..., 0, 1] = 1.0 - v / 2.0
+        upper[..., 1, 1] = 1.0
+    else:
+        upper[..., 0, 0] = upper[..., 1, 0] = 1.0 - v / 2.0
+        upper[..., 0, 1] = upper[..., 1, 2] = v / 2.0
+    return W
+
+
+def lower_witness_pair(v: float, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The swapped near-uniform pair attaining the lower bound at total variation v."""
+    return tuple(_witness_pairs(_check_v(v), n)[0])
 
 
 def upper_witness_pair(v: float, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -174,18 +197,7 @@ def upper_witness_pair(v: float, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
     (1 - v/2, 0, v/2, ...); for n = 2 the extreme pair (v/2, 1 - v/2)
     vs (0, 1).
     """
-    v = _check_v(v)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    p = np.zeros(n)
-    q = np.zeros(n)
-    if n == 2:
-        p[0], p[1] = v / 2.0, 1.0 - v / 2.0
-        q[0], q[1] = 0.0, 1.0
-    else:
-        p[0], p[1] = 1.0 - v / 2.0, v / 2.0
-        q[0], q[2] = 1.0 - v / 2.0, v / 2.0
-    return p, q
+    return tuple(_witness_pairs(_check_v(v), n)[1])
 
 
 def bound_report(p, q, alpha: float) -> BoundReport:
@@ -199,26 +211,25 @@ def bound_report(p, q, alpha: float) -> BoundReport:
     is not L. The upper bound holds for orders in (0, 2].
     """
     a = check_alpha(alpha)
-    P, Q = _validate_points((p, q), "classical")[1]
-    n = len(P)
-    v = total_variation(P, Q)
-    value = jd_alpha(P, Q, a).value
-    lower = _lower_bound(v, a, n)
+    X = _validated_stack((p, q), "classical")[1]
+    n = X.shape[1]
+    v = _distance(X)
     if n == 2:
         upper = upper_U2(v, a)
         kind = "two_letter"
     else:
-        upper = upper_Un(P, Q, a)
+        upper = _upper_Un(X, a)
         kind = "alpha_norm"
+    lower_witness, upper_witness = map(tuple, _witness_pairs(_check_v(v), n))
     return BoundReport(
-        lower=lower,
-        value=value,
+        lower=_lower_bound(v, a, n),
+        value=_divergence(X, _EVEN, a).value,
         upper=upper,
         v=v,
         alpha=a,
         upper_kind=kind,
-        lower_witness=lower_witness_pair(v, n) if _lower_is_L(a, n) else None,
-        upper_witness=upper_witness_pair(v, n),
+        lower_witness=lower_witness if _lower_is_L(a, n) else None,
+        upper_witness=upper_witness,
     )
 
 
@@ -232,12 +243,11 @@ def q_bound_report(rho1, rho2, alpha: float) -> BoundReport:
     is (ln 2 / 2) T, a bound only for orders in [1, 2].
     """
     a = check_alpha(alpha)
-    r1, r2 = _validate_points((rho1, rho2), "quantum")[1]
-    t = trace_distance(r1, r2)
-    value = qjd_alpha(r1, r2, a).value
+    X = _validated_stack((rho1, rho2), "quantum")[1]
+    t = _distance(X)
     return BoundReport(
-        lower=_lower_bound(t, a, r1.dim),
-        value=value,
+        lower=_lower_bound(t, a, X.shape[1]),
+        value=_divergence(X, _EVEN, a).value,
         upper=(LN2 / 2.0) * t,
         v=t,
         alpha=a,
@@ -267,13 +277,13 @@ def chain_check(p, q, alpha: float) -> ChainBounds:
     a = check_alpha(alpha)
     if not 1.0 <= a <= 2.0:
         raise ValueError(f"chain is asserted for orders in [1, 2], got {a}")
-    P, Q = _validate_points((p, q), "classical")[1]
-    v = total_variation(P, Q)
+    X = _validated_stack((p, q), "classical")[1]
+    v = _distance(X)
     return ChainBounds(
         v_sq_over_8=v**2 / 8.0,
         alpha_v_sq_over_8=a * v**2 / 8.0,
-        jd=jd_alpha(P, Q, a).value,
-        alpha_norm_upper=upper_Un(P, Q, a),
+        jd=_divergence(X, _EVEN, a).value,
+        alpha_norm_upper=_upper_Un(X, a),
         tv_upper=(LN2 / 2.0) * v,
     )
 
@@ -309,17 +319,23 @@ def upper_curve_value(v: float, alpha: float, n: int) -> float:
     return float(_curves(v, a, n)[1])
 
 
+def _homotopy(t, v, n: int) -> np.ndarray:
+    """``homotopy_pair`` at every validated t and v of broadcastable shapes.
+
+    Returns the deformed pairs (P, Q) as one array of shape
+    broadcast(t.shape, v.shape) + (2, n).
+    """
+    lower, upper = _witness_pairs(v, n)
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return (1.0 - t) * lower + t * upper
+
+
 def homotopy_pair(t: float, v: float, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Convex deformation from the lower-curve pair (t = 0) to the upper-curve pair (t = 1)."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"need t in [0, 1], got {t}")
-    v = _check_v(v)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    pl, ql = lower_witness_pair(v, n)
-    pu, qu = upper_witness_pair(v, n)
-    return (1.0 - t) * pl + t * pu, (1.0 - t) * ql + t * qu
+    return tuple(_homotopy(t, _check_v(v), n))
 
 
 def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
@@ -346,16 +362,11 @@ def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
     lower, upper = _curves(vs, a, n)
     curve_lower = list(zip(vs.tolist(), lower.tolist()))
     curve_upper = list(zip(vs.tolist(), upper.tolist()))
-    # the homotopy_pair samples of every (t, v), t major, stacked as P and Q
-    PL, QL = np.stack([lower_witness_pair(float(v), n) for v in vs], axis=1)
-    PU, QU = np.stack([upper_witness_pair(float(v), n) for v in vs], axis=1)
-    t = ts[:, None, None]
-    P = ((1.0 - t) * PL + t * PU).reshape(-1, n)
-    Q = ((1.0 - t) * QL + t * QU).reshape(-1, n)
-    m = len(P)
-    pairs = np.arange(2 * m).reshape(2, m).T
-    values = _gaps(np.concatenate([P, Q]), pairs, np.full(pairs.shape, 0.5), a)[0]
-    v_actual = np.sum(np.abs(P - Q), axis=1)
+    # the homotopy_pair samples of every (t, v), t major, pair by pair
+    X = _homotopy(ts[:, None], vs, n).reshape(-1, n)
+    pairs = np.arange(len(X)).reshape(-1, 2)
+    values = _gaps(X, pairs, np.full(pairs.shape, 0.5), a)[0]
+    v_actual = np.sum(np.abs(X[0::2] - X[1::2]), axis=1)
     samples = list(zip(np.repeat(ts, grid).tolist(), v_actual.tolist(), values.tolist()))
     return DiagramPoints(
         curve_lower=curve_lower,

@@ -159,96 +159,108 @@ def _point_entries(point) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="jensengeo", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for random generation subcommands")
-    subs = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
+    subs = parser.add_subparsers(dest="command")
 
-    def new(name: str, help_: str):
+    def new(name: str, help_: str, handler):
         sub = subs.add_parser(name, help=help_)
         sub.add_argument("--output", help="write the result to this path instead of stdout")
+        sub.set_defaults(handler=handler)
         return sub
 
-    s = new("entropy", "Shannon / order-alpha entropy of a distribution or state")
+    s = new("entropy", "Shannon / order-alpha entropy of a distribution or state", _cmd_entropy)
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "p", "probability vector")
     _add_input(s, "rho", "density matrix")
 
-    s = new("jd", "Jensen divergence of two distributions")
+    s = new("jd", "Jensen divergence of two distributions", _cmd_jd)
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "p", "first distribution")
     _add_input(s, "q", "second distribution")
 
-    s = new("qjd", "quantum Jensen divergence of two states")
+    s = new("qjd", "quantum Jensen divergence of two states", _cmd_qjd)
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "rho1", "first state")
     _add_input(s, "rho2", "second state")
 
-    s = new("jd-general", "Jensen divergence of a weighted classical family")
+    s = new("jd-general", "Jensen divergence of a weighted classical family", _cmd_jd_general)
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "family", "weighted family")
 
-    s = new("qjd-general", "quantum Jensen divergence of a weighted family of states")
+    s = new(
+        "qjd-general", "quantum Jensen divergence of a weighted family of states", _cmd_qjd_general
+    )
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "family", "weighted family")
 
-    s = new("redundancy", "mean coding redundancy of a family against a reference")
+    s = new("redundancy", "mean coding redundancy of a family against a reference", _cmd_redundancy)
     _add_input(s, "family", "weighted classical family")
     _add_input(s, "q", "reference distribution")
 
-    s = new("identities", "compensation / Donald identity residual of a family")
+    s = new("identities", "compensation / Donald identity residual of a family", _cmd_identities)
     _add_input(s, "family", "weighted family")
     _add_input(s, "q", "reference distribution (classical family)")
     _add_input(s, "sigma", "reference state (quantum family)")
 
-    s = new("bounds", "distance-based sandwich for a divergence value")
+    s = new("bounds", "distance-based sandwich for a divergence value", _cmd_bounds)
     s.add_argument("--alpha", type=float, required=True)
     _add_input(s, "p", "first distribution")
     _add_input(s, "q", "second distribution")
     _add_input(s, "rho1", "first state")
     _add_input(s, "rho2", "second state")
 
-    s = new("chain", "total-variation inequality chain for one classical pair")
+    s = new("chain", "total-variation inequality chain for one classical pair", _cmd_chain)
     s.add_argument("--alpha", type=float, required=True)
     _add_input(s, "p", "first distribution")
     _add_input(s, "q", "second distribution")
 
-    s = new("diagram", "joint-range diagram curves and homotopy samples (CSV)")
+    s = new("diagram", "joint-range diagram curves and homotopy samples (CSV)", _cmd_diagram)
     s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--n", type=int, default=3)
     s.add_argument("--grid", type=int, default=50)
 
-    s = new("check-negative-type", "negative-type certificate for a divergence matrix")
+    s = new(
+        "check-negative-type",
+        "negative-type certificate for a divergence matrix",
+        _cmd_check_negative_type,
+    )
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "points", "list of distributions or states")
     _add_input(s, "matrix", "distance matrix, bypassing divergence computation")
 
-    s = new("embed", "isometric embedding of sqrt(divergence) into Euclidean space")
+    s = new("embed", "isometric embedding of sqrt(divergence) into Euclidean space", _cmd_embed)
     s.add_argument("--alpha", type=float, default=1.0)
     _add_input(s, "points", "list of distributions or states")
     _add_input(s, "matrix", "distance matrix, bypassing divergence computation")
 
-    s = new("cayley-menger", "bordered determinant of a distance matrix")
+    s = new("cayley-menger", "bordered determinant of a distance matrix", _cmd_cayley_menger)
     _add_input(s, "matrix", "distance matrix")
 
-    s = new("counterexample", "triangle-inequality defect on the canonical triple")
+    s = new(
+        "counterexample", "triangle-inequality defect on the canonical triple", _cmd_counterexample
+    )
     s.add_argument("--alpha", type=float, required=True)
 
-    s = new("quadruple-cm", "Cayley-Menger determinant of the near-uniform quadruple")
+    s = new(
+        "quadruple-cm", "Cayley-Menger determinant of the near-uniform quadruple", _cmd_quadruple_cm
+    )
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--eps", type=float, default=1e-2)
 
-    s = new("power-integral", "x^alpha via the integral representation")
+    s = new("power-integral", "x^alpha via the integral representation", _cmd_power_integral)
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--alpha", type=float, required=True)
 
-    s = new("holevo", "Holevo quantity of a quantum ensemble")
+    s = new("holevo", "Holevo quantity of a quantum ensemble", _cmd_holevo)
     _add_input(s, "family", "weighted quantum family")
 
-    s = new("gen", "seeded random test data")
+    s = new("gen", "seeded random test data", _cmd_gen)
     s.add_argument("--kind", choices=("distribution", "density", "pure"), required=True)
     s.add_argument("--n", type=int, default=2, help="alphabet size / Hilbert dimension")
     s.add_argument("--count", type=int, default=1)
     # also accepted after the subcommand; SUPPRESS keeps the global value otherwise
     s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
+    subs.metavar = "|".join(subs.choices)
     return parser
 
 
@@ -430,29 +442,6 @@ def _cmd_gen(args):
     return items
 
 
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "jd": _cmd_jd,
-    "qjd": _cmd_qjd,
-    "jd-general": _cmd_jd_general,
-    "qjd-general": _cmd_qjd_general,
-    "redundancy": _cmd_redundancy,
-    "identities": _cmd_identities,
-    "bounds": _cmd_bounds,
-    "chain": _cmd_chain,
-    "diagram": _cmd_diagram,
-    "check-negative-type": _cmd_check_negative_type,
-    "embed": _cmd_embed,
-    "cayley-menger": _cmd_cayley_menger,
-    "counterexample": _cmd_counterexample,
-    "quadruple-cm": _cmd_quadruple_cm,
-    "power-integral": _cmd_power_integral,
-    "holevo": _cmd_holevo,
-    "gen": _cmd_gen,
-}
-SUBCOMMANDS = tuple(_HANDLERS)
-
-
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -460,7 +449,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("no subcommand given; see --help", code=EXIT_USAGE)
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args)
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return exc.code

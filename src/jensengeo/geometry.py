@@ -158,8 +158,7 @@ def divergence_matrix(points, alpha: float = 1.0) -> DistanceMatrix:
     pairs = np.stack([i, j], axis=1)
     values = _gaps(_validated_stack(points)[1], pairs, np.full(pairs.shape, 0.5), a)[0]
     D = np.zeros((n, n))
-    # tiny negative float residue near coincident points is floored
-    D[i, j] = D[j, i] = np.maximum(values, 0.0)
+    D[i, j] = D[j, i] = values
     return DistanceMatrix(d=D)
 
 

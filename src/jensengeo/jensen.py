@@ -35,6 +35,7 @@ from .quantum import (
     _relative_entropies,
     _validate_densities,
     as_density,
+    density_to_json,
     relative_entropy,
     validate_density,
 )
@@ -90,7 +91,7 @@ class DivergenceResult:
 
     value: float
     alpha: float
-    via: str  # "entropy_difference" | "kl_average"
+    via: str  # "entropy_difference"
     dual_residual: float | None = None
 
 
@@ -137,21 +138,6 @@ def _parse(point, kind: str) -> tuple[np.ndarray, tuple | None]:
     if kind == "classical":
         return _distribution_array(point)
     return _density_array(_json_matrix(point) if isinstance(point, dict) else point), None
-
-
-def _validate_points(points, kind: str | None = None) -> tuple[str, tuple]:
-    """``_validated_stack`` as point objects: the kind and the validated points.
-
-    Points that were Distribution or DensityMatrix objects already are returned as they are.
-    """
-    kind, X, labels = _validated_stack(points, kind)
-
-    def point(p, x, lab):
-        if isinstance(p, (Distribution, DensityMatrix)):
-            return p
-        return DensityMatrix(matrix=x) if kind == "quantum" else Distribution(probs=x, labels=lab)
-
-    return kind, tuple(map(point, points, X, labels))
 
 
 def _stack(points: tuple) -> np.ndarray:
@@ -234,8 +220,15 @@ def weighted_family(members, weights, kind: str | None = None) -> WeightedFamily
     w = as_distribution(weights)
     if len(w) != len(members):
         raise ValueError(f"{len(members)} members but {len(w)} weights")
-    kind, pts = _validate_points(members, kind)
-    return WeightedFamily(members=pts, weights=w, kind=kind)
+    kind, X, labels = _validated_stack(members, kind)
+
+    def point(m, x, lab):
+        # members that were Distribution or DensityMatrix objects already are kept as they are
+        if isinstance(m, (Distribution, DensityMatrix)):
+            return m
+        return DensityMatrix(matrix=x) if kind == "quantum" else Distribution(probs=x, labels=lab)
+
+    return WeightedFamily(members=tuple(map(point, members, X, labels)), weights=w, kind=kind)
 
 
 def family_from_json(obj: dict) -> WeightedFamily:
@@ -253,8 +246,6 @@ def family_from_json(obj: dict) -> WeightedFamily:
 
 def family_to_json(fam: WeightedFamily) -> dict:
     """The wire format of ``family_from_json``; labelled members keep their labels."""
-    from .quantum import density_to_json
-
     if fam.kind == "quantum":
         members = [density_to_json(m) for m in fam.members]
     else:

@@ -19,8 +19,8 @@ from jensengeo.bounds import (
     upper_witness_pair,
 )
 from jensengeo.classical import random_distribution, total_variation
-from jensengeo.jensen import jd_alpha
-from jensengeo.quantum import ginibre_state, random_pure_state
+from jensengeo.jensen import jd_alpha, qjd_alpha
+from jensengeo.quantum import ginibre_state, random_pure_state, trace_distance
 
 LN2 = math.log(2.0)
 
@@ -375,8 +375,8 @@ class TestDiagram:
             for a in (1.0 - delta, 1.0 + delta):
                 assert upper_curve_value(v, a, 3) == pytest.approx(limit, rel=3 * delta + 1e-14)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-12, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_samples_equal_pairwise_calls(self, alpha, n):
         grid = 7
         pts = diagram(alpha, n, grid)
@@ -454,3 +454,116 @@ class TestQuantumAgainstClassicalDiagonal:
             assert qrep.v == pytest.approx(crep.v, abs=1e-12)
             assert qrep.value == pytest.approx(crep.value, abs=1e-10)
             assert qrep.lower == pytest.approx(crep.lower, abs=1e-12)
+
+
+# seeded report inputs: orders on both sides of 1 and 2, and alphabets of 2, 3 and 5 letters
+REPORT_ORDERS = [0.5, 1.0, 1.0 + 1e-12, 1.5, 2.0, 2.5]
+REPORT_SIZES = [2, 3, 5]
+
+
+def _bits(x) -> bytes:
+    """The exact float64 bytes of a scalar or array, so -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _pairs_with_zeros(n: int, seed: int, count: int = 8):
+    """Seeded raw distribution pairs; each distribution has one zero entry."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        P = rng.dirichlet(np.ones(n), size=2)
+        P[0, rng.integers(n)] = 0.0
+        P[1, rng.integers(n)] = 0.0
+        P /= P.sum(axis=1, keepdims=True)
+        yield P[0].tolist(), P[1].tolist()
+
+
+def _state_pairs(d: int, seed: int, count: int = 4):
+    """Seeded raw state pairs: Ginibre (full rank), pure (zero eigenvalues) and one of each."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield ginibre_state(d, rng).matrix, ginibre_state(d, rng).matrix
+        yield random_pure_state(d, rng).matrix, random_pure_state(d, rng).matrix
+        yield ginibre_state(d, rng).matrix, random_pure_state(d, rng).matrix
+
+
+class TestReportsEqualScalars:
+    """Each report field equals, bit for bit, the public scalar that computes it alone."""
+
+    @pytest.mark.parametrize("alpha", REPORT_ORDERS)
+    @pytest.mark.parametrize("n", REPORT_SIZES)
+    def test_bound_report(self, alpha, n):
+        for p, q in _pairs_with_zeros(n, seed=21 + n):
+            rep = bound_report(p, q, alpha)
+            v = total_variation(p, q)
+            assert _bits(rep.v) == _bits(v)
+            assert _bits(rep.value) == _bits(jd_alpha(p, q, alpha).value)
+            upper = upper_U2(v, alpha) if n == 2 else upper_Un(p, q, alpha)
+            assert _bits(rep.upper) == _bits(upper)
+            assert rep.alpha == alpha
+            assert rep.upper_kind == ("two_letter" if n == 2 else "alpha_norm")
+            assert list(map(_bits, rep.upper_witness)) == list(map(_bits, upper_witness_pair(v, n)))
+            if rep.lower_witness is not None:
+                assert _bits(rep.lower) == _bits(lower_L(v, alpha))
+                assert list(map(_bits, rep.lower_witness)) == list(
+                    map(_bits, lower_witness_pair(v, n))
+                )
+
+    @pytest.mark.parametrize("alpha", REPORT_ORDERS)
+    @pytest.mark.parametrize("d", REPORT_SIZES)
+    def test_q_bound_report(self, alpha, d):
+        for r1, r2 in _state_pairs(d, seed=31 + d):
+            rep = q_bound_report(r1, r2, alpha)
+            t = trace_distance(r1, r2)
+            assert _bits(rep.v) == _bits(t)
+            assert _bits(rep.value) == _bits(qjd_alpha(r1, r2, alpha).value)
+            assert _bits(rep.upper) == _bits((LN2 / 2.0) * t)
+            if (d == 2 and alpha <= 2.0) or alpha == 1.0:
+                assert _bits(rep.lower) == _bits(lower_L(t, alpha))
+            assert rep.lower_witness is None and rep.upper_witness is None
+
+    @pytest.mark.parametrize("alpha", [a for a in REPORT_ORDERS if 1.0 <= a <= 2.0])
+    @pytest.mark.parametrize("n", REPORT_SIZES)
+    def test_chain_check(self, alpha, n):
+        for p, q in _pairs_with_zeros(n, seed=41 + n):
+            ch = chain_check(p, q, alpha)
+            v = total_variation(p, q)
+            assert _bits(ch.v_sq_over_8) == _bits(v**2 / 8.0)
+            assert _bits(ch.alpha_v_sq_over_8) == _bits(alpha * v**2 / 8.0)
+            assert _bits(ch.jd) == _bits(jd_alpha(p, q, alpha).value)
+            assert _bits(ch.alpha_norm_upper) == _bits(upper_Un(p, q, alpha))
+            assert _bits(ch.tv_upper) == _bits((LN2 / 2.0) * v)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([0.5, 0.5], [0.2, 0.3, 0.5]),
+            (
+                {"probs": [0.4, 0.6], "labels": ["a", "b"]},
+                {"probs": [0.5, 0.5], "labels": ["b", "a"]},
+            ),
+            ([0.5, 0.6], [0.5, 0.5]),
+            ([0.5, 0.5], [1.5, -0.5]),
+        ],
+    )
+    def test_classical_errors_match_jd_alpha(self, p, q):
+        with pytest.raises(ValueError) as expected:
+            jd_alpha(p, q, 1.5)
+        for report in (bound_report, chain_check):
+            with pytest.raises(ValueError) as got:
+                report(p, q, 1.5)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "r1, r2",
+        [
+            (np.eye(2) / 2.0, np.eye(3) / 3.0),
+            (np.eye(2) / 2.0, np.diag([1.2, -0.2])),
+            (np.diag([1.2, -0.2]), [[0.5, 0.1], [0.2, 0.5]]),
+        ],
+    )
+    def test_quantum_errors_match_qjd_alpha(self, r1, r2):
+        with pytest.raises(ValueError) as expected:
+            qjd_alpha(r1, r2, 1.5)
+        with pytest.raises(ValueError) as got:
+            q_bound_report(r1, r2, 1.5)
+        assert str(got.value) == str(expected.value)
