@@ -39,8 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import _aligned, _binary_entropies, check_alpha
-from .jensen import _EVEN, _divergence, _gaps, _validated_stack
+from .classical import _binary_entropies, _distribution_stack, check_alpha
+from .jensen import _EVEN, _divergence, _gaps
+from .quantum import _density_stack
 
 __all__ = [
     "BoundReport",
@@ -154,7 +155,7 @@ def _upper_Un(X: np.ndarray, a: float) -> float:
 def upper_Un(p, q, alpha: float) -> float:
     """(1/(a-1)) (1/2 - 2^-a) ||P - Q||_a^a, with the order-1 limit (ln 2 / 2) V."""
     a = check_alpha(alpha)
-    return _upper_Un(np.stack(_aligned(p, q)), a)
+    return _upper_Un(_distribution_stack((p, q))[0], a)
 
 
 def upper_U2(v: float, alpha: float) -> float:
@@ -211,7 +212,7 @@ def bound_report(p, q, alpha: float) -> BoundReport:
     is not L. The upper bound holds for orders in (0, 2].
     """
     a = check_alpha(alpha)
-    X = _validated_stack((p, q), "classical")[1]
+    X = _distribution_stack((p, q))[0]
     n = X.shape[1]
     v = _distance(X)
     if n == 2:
@@ -243,7 +244,7 @@ def q_bound_report(rho1, rho2, alpha: float) -> BoundReport:
     is (ln 2 / 2) T, a bound only for orders in [1, 2].
     """
     a = check_alpha(alpha)
-    X = _validated_stack((rho1, rho2), "quantum")[1]
+    X = _density_stack((rho1, rho2))
     t = _distance(X)
     return BoundReport(
         lower=_lower_bound(t, a, X.shape[1]),
@@ -277,7 +278,7 @@ def chain_check(p, q, alpha: float) -> ChainBounds:
     a = check_alpha(alpha)
     if not 1.0 <= a <= 2.0:
         raise ValueError(f"chain is asserted for orders in [1, 2], got {a}")
-    X = _validated_stack((p, q), "classical")[1]
+    X = _distribution_stack((p, q))[0]
     v = _distance(X)
     return ChainBounds(
         v_sq_over_8=v**2 / 8.0,

@@ -131,12 +131,43 @@ def _check_labels(labels) -> None:
         raise ValueError(f"distributions carry different labels: {labels[0]} and {other}")
 
 
-def _aligned(p, q) -> tuple[np.ndarray, np.ndarray]:
-    P, Q = as_distribution(p), as_distribution(q)
-    if len(P) != len(Q):
-        raise ValueError(f"length mismatch: {len(P)} vs {len(Q)}")
-    _check_labels((P.labels, Q.labels))
-    return P.probs, Q.probs
+def _stack_points(arrays: list, raw: list, validate, what: str) -> np.ndarray:
+    """Stack the parsed arrays of a point set, validating the raw ones in one call.
+
+    ``raw`` lists the indices of the points that still need the value
+    checks of ``validate`` (validated objects pass through); ``what``
+    names the size ("length" or "dimension") that must agree across the
+    points.
+    """
+    sizes = {len(a) for a in arrays}
+    if len(sizes) != 1:
+        raise ValueError(f"{what} mismatch: points of mixed {what}s: {sorted(sizes)}")
+    X = np.array(arrays)
+    if len(raw) == len(X):
+        return validate(X)
+    if raw:
+        X[raw] = validate(X[raw])
+    return X
+
+
+def _distribution_stack(points) -> tuple[np.ndarray, list]:
+    """Validate points as distributions of one length, in one stacked call.
+
+    Distribution objects pass through; every other point is parsed (a
+    mapping to its probs and labels) and shape-checked, and then the
+    value checks of ``_validate_distributions`` run once, over all of
+    them. Labelled distributions must all carry the same labels. Returns
+    the (N, n) stack and the labels.
+    """
+    parts = [
+        (p.probs, p.labels) if isinstance(p, Distribution) else _distribution_array(p)
+        for p in points
+    ]
+    raw = [i for i, p in enumerate(points) if not isinstance(p, Distribution)]
+    X = _stack_points([a for a, _ in parts], raw, _validate_distributions, "length")
+    labels = [lab for _, lab in parts]
+    _check_labels(labels)
+    return X, labels
 
 
 def random_distribution(n: int, rng: np.random.Generator) -> Distribution:
@@ -204,17 +235,17 @@ def _kl(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def kl_divergence(p, q) -> float:
     """D(P||Q) = sum_i p_i ln(p_i / q_i); +inf when supp(P) escapes supp(Q)."""
-    return float(_kl(*_aligned(p, q)))
+    return float(_kl(*_distribution_stack((p, q))[0]))
 
 
 def total_variation(p, q) -> float:
     """V(P, Q) = sum_i |p_i - q_i|, in [0, 2]."""
-    P, Q = _aligned(p, q)
+    P, Q = _distribution_stack((p, q))[0]
     return float(np.sum(np.abs(P - Q)))
 
 
 def alpha_norm_power(p, q, alpha: float) -> float:
     """||P - Q||_alpha^alpha = sum_i |p_i - q_i|^alpha."""
     a = check_alpha(alpha)
-    P, Q = _aligned(p, q)
+    P, Q = _distribution_stack((p, q))[0]
     return float(np.sum(np.abs(P - Q) ** a))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, jensen, quantum
-from .classical import alpha_entropy, as_distribution, random_distribution
+from .classical import alpha_entropy, random_distribution
 from .tolerances import tolerance_scale
 
 EXIT_OK = 0
@@ -270,8 +270,8 @@ def _cmd_entropy(args):
     if (p is None) == (rho is None):
         raise CliError("pass exactly one of --p/--p-file or --rho/--rho-file")
     if p is not None:
-        return {"value": alpha_entropy(as_distribution(p), args.alpha)}
-    return {"value": quantum.alpha_entropy_q(quantum.as_density(rho), args.alpha)}
+        return {"value": alpha_entropy(p, args.alpha)}
+    return {"value": quantum.alpha_entropy_q(rho, args.alpha)}
 
 
 def _cmd_jd(args):
@@ -284,32 +284,22 @@ def _cmd_qjd(args):
 
 
 def _cmd_jd_general(args):
-    fam = _family(args)
-    if fam.kind != "classical":
-        raise CliError("jd-general needs a classical family (use qjd-general for states)")
-    return {"value": jensen.jd_alpha_general(fam, args.alpha).value}
+    return {"value": jensen.jd_alpha_general(_family(args), args.alpha).value}
 
 
 def _cmd_qjd_general(args):
-    fam = _family(args)
-    if fam.kind != "quantum":
-        raise CliError("qjd-general needs a quantum family")
-    return {"value": jensen.qjd_alpha_general(fam, args.alpha).value}
+    return {"value": jensen.qjd_alpha_general(_family(args), args.alpha).value}
 
 
 def _cmd_redundancy(args):
-    fam = _family(args)
-    if fam.kind != "classical":
-        raise CliError("redundancy needs a classical family")
-    return {"value": jensen.redundancy(fam, as_distribution(_vector(args, "q")))}
+    return {"value": jensen.redundancy(_family(args), _vector(args, "q"))}
 
 
 def _cmd_identities(args):
     fam = _family(args)
     scale = tolerance_scale()
     if fam.kind == "classical":
-        q = _vector(args, "q")
-        residual = jensen.compensation_residual(fam, as_distribution(q))
+        residual = jensen.compensation_residual(fam, _vector(args, "q"))
         tol = 1e-10 * scale
         return {
             "identity": "compensation",
@@ -317,8 +307,7 @@ def _cmd_identities(args):
             "tolerance": tol,
             "within_tolerance": residual <= tol,
         }
-    sigma = _load_input(args, "sigma")
-    residual = jensen.donald_residual(fam, quantum.as_density(sigma))
+    residual = jensen.donald_residual(fam, _load_input(args, "sigma"))
     tol = 1e-9 * scale
     return {
         "identity": "donald",
@@ -418,10 +407,7 @@ def _cmd_power_integral(args):
 
 
 def _cmd_holevo(args):
-    fam = _family(args)
-    if fam.kind != "quantum":
-        raise CliError("holevo needs a quantum family")
-    return {"value": jensen.holevo_bound(fam)}
+    return {"value": jensen.holevo_bound(_family(args))}
 
 
 def _cmd_gen(args):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .classical import Distribution, as_distribution, check_alpha
 from .jensen import _gaps, _validated_stack
-from .quantum import _is_state, as_density
+from .quantum import _density_stack, _is_state
 from .tolerances import tolerance_scale
 
 __all__ = [
@@ -441,7 +441,7 @@ def midpoint_kernel(phi, samples) -> np.ndarray:
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     if _is_state(samples[0]):
-        xs = [as_density(s).matrix for s in samples]
+        xs = _density_stack(samples)
     else:
         xs = [float(s) for s in samples]
     m = len(xs)

@@ -16,11 +16,9 @@ import numpy as np
 
 from .classical import (
     Distribution,
-    _check_labels,
-    _distribution_array,
+    _distribution_stack,
     _entropies,
     _kl,
-    _validate_distributions,
     as_distribution,
     check_alpha,
     kl_divergence,
@@ -29,11 +27,9 @@ from .quantum import (
     EIG_FLOOR,
     DensityMatrix,
     _clipped,
-    _density_array,
+    _density_stack,
     _is_state,
-    _json_matrix,
     _relative_entropies,
-    _validate_densities,
     as_density,
     density_to_json,
     relative_entropy,
@@ -99,50 +95,21 @@ def _validated_stack(points, kind: str | None = None) -> tuple[str, np.ndarray, 
     """Validate points as all distributions of one length or all states of one dimension.
 
     ``kind`` ("classical" or "quantum") says which; by default the first
-    point decides. Distribution and DensityMatrix objects are already
-    valid and pass through. Every other point is parsed on its own (a
-    mapping to its array and labels) and shape-checked, and then the
-    value checks of ``_validate_distributions`` or ``_validate_densities``
-    run once, over the stack of all of them. Labelled distributions must
-    all carry the same labels. Returns the kind, the validated points
-    stacked as (N, n) or (N, d, d), and their labels (None for states).
+    point decides. The points are validated in one call of that kind's
+    ``_distribution_stack`` or ``_density_stack``. Returns the kind, the
+    validated points stacked as (N, n) or (N, d, d), and their labels
+    (None for states).
     """
     if kind is None:
         kind = "quantum" if _is_state(points[0]) else "classical"
     if kind == "quantum":
-        cls, what, validate = DensityMatrix, "dimensions", _validate_densities
-    else:
-        cls, what, validate = Distribution, "lengths", _validate_distributions
-    parts = [_parts(p) if isinstance(p, cls) else _parse(p, kind) for p in points]
-    sizes = {len(a) for a, _ in parts}
-    if len(sizes) != 1:
-        raise ValueError(f"points of mixed {what}: {sorted(sizes)}")
-    X = np.array([a for a, _ in parts])
-    raw = [i for i, p in enumerate(points) if not isinstance(p, cls)]
-    if raw:
-        X[raw] = validate(X[raw])
-    labels = [lab for _, lab in parts]
-    _check_labels(labels)
-    return kind, X, labels
+        return kind, _density_stack(points), [None] * len(points)
+    return kind, *_distribution_stack(points)
 
 
-def _parts(point) -> tuple[np.ndarray, tuple | None]:
-    """The array and labels of a Distribution, or the matrix of a DensityMatrix and None."""
-    if isinstance(point, DensityMatrix):
-        return point.matrix, None
-    return point.probs, point.labels
-
-
-def _parse(point, kind: str) -> tuple[np.ndarray, tuple | None]:
-    """A raw point or mapping of the given kind as its shape-checked array and labels."""
-    if kind == "classical":
-        return _distribution_array(point)
-    return _density_array(_json_matrix(point) if isinstance(point, dict) else point), None
-
-
-def _stack(points: tuple) -> np.ndarray:
-    """Validated points as one (N, n) or (N, d, d) array."""
-    return np.array([_parts(p)[0] for p in points])
+def _stack(fam: WeightedFamily, *extra) -> np.ndarray:
+    """The members of fam, and extra points of its kind after them, as one validated array."""
+    return _validated_stack(fam.members + extra, fam.kind)[1]
 
 
 def _mix(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -264,7 +231,7 @@ def family_to_json(fam: WeightedFamily) -> dict:
 
 def mixture(fam: WeightedFamily):
     """The barycenter: weighted sum of the members."""
-    mix = _mix(_stack(fam.members), fam.weights.probs)
+    mix = _mix(_stack(fam), fam.weights.probs)
     return validate_density(mix) if fam.kind == "quantum" else as_distribution(mix)
 
 
@@ -298,12 +265,12 @@ def jd_general(fam: WeightedFamily) -> DivergenceResult:
 def jd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     """Order-alpha Jensen divergence S_a(mixture) - sum_i pi_i S_a(P_i)."""
     _require_kind(fam, "classical")
-    return _divergence(_stack(fam.members), fam.weights.probs, alpha)
+    return _divergence(_stack(fam), fam.weights.probs, alpha)
 
 
 def jd_alpha(p, q, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha Jensen divergence of two distributions with even weights."""
-    return _divergence(_validated_stack((p, q), "classical")[1], _EVEN, alpha)
+    return _divergence(_distribution_stack((p, q))[0], _EVEN, alpha)
 
 
 def qjd_general(fam: WeightedFamily) -> DivergenceResult:
@@ -318,12 +285,12 @@ def qjd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     no averaged-relative-entropy identity away from order 1.
     """
     _require_kind(fam, "quantum")
-    return _divergence(_stack(fam.members), fam.weights.probs, alpha)
+    return _divergence(_stack(fam), fam.weights.probs, alpha)
 
 
 def qjd_alpha(rho, sigma, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha quantum Jensen divergence of two states with even weights."""
-    return _divergence(_validated_stack((rho, sigma), "quantum")[1], _EVEN, alpha)
+    return _divergence(_density_stack((rho, sigma)), _EVEN, alpha)
 
 
 def redundancy(fam: WeightedFamily, q) -> float:
@@ -333,11 +300,8 @@ def redundancy(fam: WeightedFamily, q) -> float:
     divergence of the family. +inf propagates from any support escape.
     """
     _require_kind(fam, "classical")
-    Q = as_distribution(q)
-    if len(Q) != len(fam.members[0]):
-        raise ValueError("reference distribution has the wrong length")
-    _check_labels([m.labels for m in fam.members + (Q,)])
-    return float(_weighted_mean(fam.weights.probs, _kl(_stack(fam.members), Q.probs)))
+    X = _stack(fam, q)
+    return float(_weighted_mean(fam.weights.probs, _kl(X[:-1], X[-1])))
 
 
 def compensation_residual(fam: WeightedFamily, q) -> float:
@@ -347,6 +311,7 @@ def compensation_residual(fam: WeightedFamily, q) -> float:
     is float noise; infinite terms make the identity untestable and raise.
     """
     _require_kind(fam, "classical")
+    q = as_distribution(q)
     r_q = redundancy(fam, q)
     r_mix = jd_general(fam).value
     d_mix_q = kl_divergence(mixture(fam), q)
@@ -358,10 +323,7 @@ def compensation_residual(fam: WeightedFamily, q) -> float:
 def q_redundancy(fam: WeightedFamily, sigma) -> float:
     """Mean quantum coding redundancy sum_i pi_i S(rho_i || sigma)."""
     _require_kind(fam, "quantum")
-    s = as_density(sigma)
-    if s.dim != fam.members[0].dim:
-        raise ValueError("reference state has the wrong dimension")
-    w, V = np.linalg.eigh(_stack(fam.members + (s,)))
+    w, V = np.linalg.eigh(_stack(fam, sigma))
     d = _relative_entropies(w[:-1], V[:-1], w[-1], V[-1])
     return float(_weighted_mean(fam.weights.probs, d))
 
@@ -369,6 +331,7 @@ def q_redundancy(fam: WeightedFamily, sigma) -> float:
 def donald_residual(fam: WeightedFamily, sigma) -> float:
     """| sum pi_i S(rho_i||sigma) - sum pi_i S(rho_i||mixture) - S(mixture||sigma) |."""
     _require_kind(fam, "quantum")
+    sigma = as_density(sigma)
     r_sigma = q_redundancy(fam, sigma)
     r_mix = qjd_general(fam).value
     d_mix_sigma = relative_entropy(mixture(fam), sigma)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _entropies, check_alpha
+from .classical import _entropies, _stack_points, check_alpha
 
 __all__ = [
     "DensityMatrix",
@@ -123,6 +123,24 @@ def _validate_densities(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _density_stack(points) -> np.ndarray:
+    """Validate points as states of one dimension, in one stacked call.
+
+    DensityMatrix objects pass through; every other point is parsed (a
+    wire-format mapping to its matrix) and shape-checked, and then the
+    value checks of ``_validate_densities`` run once, over all of them.
+    Returns the (N, d, d) stack.
+    """
+    arrays = [
+        p.matrix
+        if isinstance(p, DensityMatrix)
+        else _density_array(_json_matrix(p) if isinstance(p, dict) else p)
+        for p in points
+    ]
+    raw = [i for i, p in enumerate(points) if not isinstance(p, DensityMatrix)]
+    return _stack_points(arrays, raw, _validate_densities, "dimension")
+
+
 def as_density(obj) -> DensityMatrix:
     """Coerce a DensityMatrix, raw matrix, or JSON-style mapping to a state."""
     if isinstance(obj, DensityMatrix):
@@ -204,14 +222,6 @@ def alpha_entropy_q(rho, alpha: float) -> float:
     return float(_entropies(_clipped(spectrum(rho).eigenvalues), a))
 
 
-def _check_same_dim(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    r = as_density(rho).matrix
-    s = as_density(sigma).matrix
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
-    return r, s
-
-
 def _relative_entropies(wr, Vr, ws, Vs) -> np.ndarray:
     """S(rho||sigma) from the eigendecompositions (w, V) of rho and sigma, over leading axes.
 
@@ -238,19 +248,19 @@ def relative_entropy(rho, sigma) -> float:
     of sigma (an eigenvector of rho with eigenvalue > 1e-10 has squared
     projection > 1e-10 onto the null space of sigma).
     """
-    w, V = np.linalg.eigh(np.stack(_check_same_dim(rho, sigma)))
+    w, V = np.linalg.eigh(_density_stack((rho, sigma)))
     return float(_relative_entropies(w[0], V[0], w[1], V[1]))
 
 
 def trace_distance(rho, sigma) -> float:
     """||rho - sigma||_1 = sum |eigenvalues of (rho - sigma)|, in [0, 2]."""
-    r, s = _check_same_dim(rho, sigma)
+    r, s = _density_stack((rho, sigma))
     return float(np.sum(np.abs(np.linalg.eigvalsh(r - s))))
 
 
 def hs_distance_sq(rho, sigma) -> float:
     """Squared Hilbert-Schmidt distance Tr((rho - sigma)^2)."""
-    r, s = _check_same_dim(rho, sigma)
+    r, s = _density_stack((rho, sigma))
     return float(np.sum(np.abs(r - s) ** 2))
 
 

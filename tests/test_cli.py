@@ -469,6 +469,33 @@ _INLINE = [
 ]
 
 
+_CSV_FILES = [
+    ["jd", "--p-file", "{0}", "--q-file", "{1}"],
+    ["bounds", "--alpha", "1.5", "--p-file", "{0}", "--q-file", "{1}"],
+    ["qjd", "--alpha", "0.5", "--rho1-file", "{0}", "--rho2-file", "{1}"],
+    ["redundancy", "--family", '{{"weights": [1], "members": [[0.5, 0.5]]}}', "--q-file", "{0}"],
+    ["check-negative-type", "--points-file", "{0}"],
+]
+# CSV text: rows of one width whose numbers may be negative, not finite or too large
+_csv_cell = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "0.25", " 0.5 ", "-0", "-1e-13", "1e400", "nan", "1_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_csv_text = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.lists(_csv_cell, min_size=width, max_size=width).map(",".join),
+        min_size=1,
+        max_size=4,
+    ).map("\n".join)
+)
+# well-formed files (distributions, point sets and a qubit state), CSV rows and any text
+_csv_file = st.one_of(
+    st.sampled_from(["0.5,0.5", "1,0", "0.25, 0.75\n", "0.5,0.5\n1,0", "0.5,0\n0,0.5"]),
+    _csv_text,
+    st.text(max_size=40),
+)
+
+
 def _run_quietly(argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -515,3 +542,13 @@ class TestFuzzedInputs:
         path = tmp_path_factory.getbasetemp() / "fuzzed_points.json"
         path.write_text(json.dumps(points))
         _assert_documented_outcome(*_run_quietly([command, "--points-file", str(path)]))
+
+    @given(st.sampled_from(_CSV_FILES), _csv_file, _csv_file)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_csv_files(self, tmp_path_factory, template, x, y):
+        base = tmp_path_factory.getbasetemp()
+        paths = [base / "fuzzed_a.csv", base / "fuzzed_b.csv"]
+        for path, text in zip(paths, (x, y)):
+            path.write_text(text, encoding="utf-8")
+        argv = [arg.format(*map(str, paths)) for arg in template]
+        _assert_documented_outcome(*_run_quietly(argv))

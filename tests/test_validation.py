@@ -10,9 +10,18 @@ out one vector or matrix at a time.
 import numpy as np
 import pytest
 
-from jensengeo.classical import NEG_CLIP, SUM_TOL, Distribution, as_distribution
+from jensengeo.bounds import upper_Un
+from jensengeo.classical import (
+    NEG_CLIP,
+    SUM_TOL,
+    Distribution,
+    alpha_norm_power,
+    as_distribution,
+    kl_divergence,
+    total_variation,
+)
 from jensengeo.geometry import divergence_matrix
-from jensengeo.jensen import weighted_family
+from jensengeo.jensen import jd_alpha, q_redundancy, qjd_alpha, redundancy, weighted_family
 from jensengeo.quantum import (
     EIG_FLOOR,
     HERM_TOL,
@@ -20,7 +29,10 @@ from jensengeo.quantum import (
     DensityMatrix,
     density_to_json,
     ginibre_state,
+    hs_distance_sq,
     random_pure_state,
+    relative_entropy,
+    trace_distance,
     validate_density,
 )
 
@@ -229,3 +241,100 @@ class TestMixedInputForms:
             divergence_matrix([as_distribution([0.5, 0.5]), {"probs": GOOD_P}], 1.0)
         with pytest.raises(ValueError, match=r"mixed dimensions: \[2, 3\]"):
             divergence_matrix([validate_density(np.eye(2) / 2.0), density_to_json(GOOD_RHO)], 1.0)
+
+
+# the pair functions outside jensen.py; redundancy and q_redundancy take the
+# first point as a one-member family and the second as its reference
+CLASSICAL_PAIRS = {
+    "kl_divergence": kl_divergence,
+    "total_variation": total_variation,
+    "alpha_norm_power": lambda p, q: alpha_norm_power(p, q, 1.5),
+    "upper_Un": lambda p, q: upper_Un(p, q, 0.5),
+    "redundancy": lambda p, q: redundancy(weighted_family([p], [1.0]), q),
+}
+QUANTUM_PAIRS = {
+    "relative_entropy": relative_entropy,
+    "trace_distance": trace_distance,
+    "hs_distance_sq": hs_distance_sq,
+    "q_redundancy": lambda r, s: q_redundancy(weighted_family([r], [1.0]), s),
+}
+LABELS = ["a", "b", "c", "d"]
+
+
+def distribution_forms(p) -> list:
+    return [
+        p,
+        p.tolist(),
+        {"probs": p.tolist()},
+        {"probs": p.tolist(), "labels": LABELS},
+        as_distribution(p),
+        as_distribution({"probs": p, "labels": LABELS}),
+    ]
+
+
+def state_forms(A) -> list:
+    return [A, A.tolist(), density_to_json(A), validate_density(A)]
+
+
+def error_text(f, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return str(info.value)
+
+
+class TestPairFunctions:
+    """Every pair function validates its pair in one stacked call, as jd_alpha does."""
+
+    @pytest.mark.parametrize("name", CLASSICAL_PAIRS)
+    def test_distribution_forms_agree(self, name):
+        f = CLASSICAL_PAIRS[name]
+        rng = np.random.default_rng(31)
+        for p, q in noisy_distributions(rng, 12, 4).reshape(6, 2, 4):
+            expected = np.float64(f(p, q))
+            for fp, fq in zip(distribution_forms(p), distribution_forms(q)[::-1]):
+                assert same_bits(np.float64(f(fp, fq)), expected)
+
+    @pytest.mark.parametrize("name", QUANTUM_PAIRS)
+    def test_state_forms_agree(self, name):
+        f = QUANTUM_PAIRS[name]
+        rng = np.random.default_rng(32)
+        S = noisy_states(rng, 12, 3)
+        for A, B in zip(S[0::2], S[1::2]):
+            # the wire format holds the validated entries, so every form starts from them
+            A, B = validate_density(A).matrix, validate_density(B).matrix
+            expected = np.float64(f(A, B))
+            for fa, fb in zip(state_forms(A), state_forms(B)[::-1]):
+                assert same_bits(np.float64(f(fa, fb)), expected)
+
+    @pytest.mark.parametrize("name", CLASSICAL_PAIRS)
+    def test_distribution_errors_match_jd_alpha(self, name):
+        f = CLASSICAL_PAIRS[name]
+        labelled = {"probs": GOOD_P, "labels": ["x", "y", "z"]}
+        cases = [(bad, GOOD_P) for bad, _ in BAD_POINTS_CLASSICAL]
+        cases += [(GOOD_P, bad) for bad, _ in BAD_POINTS_CLASSICAL]
+        cases += [
+            ([0.5, 0.5], GOOD_P),
+            (GOOD_P, [0.5, 0.5]),
+            # a pair with several faults reports the size mismatch first
+            ([0.5, 0.5], [0.6, 0.6, 0.5]),
+            (labelled, {"probs": GOOD_P, "labels": ["a", "b", "c"]}),
+            (as_distribution(labelled), {"probs": GOOD_P, "labels": ["a", "b", "c"]}),
+        ]
+        for p, q in cases:
+            assert error_text(f, p, q) == error_text(jd_alpha, p, q)
+        assert error_text(f, [0.5, 0.5], GOOD_P) == (
+            "length mismatch: points of mixed lengths: [2, 3]"
+        )
+
+    @pytest.mark.parametrize("name", QUANTUM_PAIRS)
+    def test_state_errors_match_qjd_alpha(self, name):
+        f = QUANTUM_PAIRS[name]
+        cases = [(bad, GOOD_RHO) for bad, _ in BAD_POINTS_QUANTUM]
+        cases += [(GOOD_RHO, bad) for bad, _ in BAD_POINTS_QUANTUM]
+        qubit = validate_density(np.eye(2) / 2.0)
+        cases += [(qubit, GOOD_RHO), (density_to_json(GOOD_RHO), np.eye(2) / 2.0)]
+        for r, s in cases:
+            assert error_text(f, r, s) == error_text(qjd_alpha, r, s)
+        assert error_text(f, qubit, GOOD_RHO) == (
+            "dimension mismatch: points of mixed dimensions: [2, 3]"
+        )
