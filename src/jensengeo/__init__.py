@@ -2,8 +2,11 @@
 distance bounds, for finite probability distributions and quantum states.
 
 Everything here is a pure function of immutable values; concurrent use
-is safe. Results are deterministic for a given input and numpy build, and
-each entry of a divergence matrix equals the scalar call on its pair.
+is safe. The one value that memoizes is a ``DistanceMatrix``: it keeps
+its centred eigenpairs, checks them against its entries before each
+use, and two threads that both write them store the same result.
+Results are deterministic for a given input and numpy build, and each
+entry of a divergence matrix equals the scalar call on its pair.
 """
 
 from .classical import (

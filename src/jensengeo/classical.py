@@ -190,7 +190,10 @@ def _entropies(weights: np.ndarray, a: float) -> np.ndarray:
     logs = np.log(np.where(weights > 0.0, weights, 1.0))
     if a == 1.0:
         return -(weights * logs).sum(axis=-1)
-    return -(weights * np.expm1((a - 1.0) * logs)).sum(axis=-1) / (a - 1.0)
+    # (a - 1) ln w_i would overflow above a of about 2e305; a factor of 1e300
+    # already gives expm1 = -1 exactly for every w_i < 1, as ln w_i <= -1.1e-16
+    b = min(a - 1.0, 1e300)
+    return -(weights * np.expm1(b * logs)).sum(axis=-1) / (a - 1.0)
 
 
 def shannon_entropy(p) -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,10 +64,17 @@ POWER_X_MAX = 1e150
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix of squared-metric candidates, zero diagonal."""
+    """Symmetric nonnegative matrix of squared-metric candidates, zero diagonal.
+
+    The centred eigenpairs that ``negative_type_check`` and ``embed`` rest
+    on are computed once and kept with a copy of ``d``; they are used again
+    only while ``d`` still holds those entries.
+    """
 
     d: np.ndarray
     point_labels: tuple | None = None
+    # (copy of d, W, w, V) of the last _centred call, see _centred_eigenpairs
+    _centred_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -120,12 +128,16 @@ def as_distance_matrix(obj) -> DistanceMatrix:
     if isinstance(obj, dict):
         if "d" not in obj:
             raise ValueError('distance mapping must contain "d"')
+        if "n" in obj:
+            n = obj["n"]
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+                raise ValueError(f'distance "n" must be an integer, got {n!r}')
         try:
-            if "n" in obj and int(obj["n"]) != len(obj["d"]):
+            if "n" in obj and obj["n"] != len(obj["d"]):
                 raise ValueError('"n" does not match the matrix size')
             labels = tuple(obj["labels"]) if obj.get("labels") is not None else None
-        except (TypeError, OverflowError):
-            raise ValueError('distance "n" must be an integer, "d" and "labels" lists') from None
+        except TypeError:
+            raise ValueError('distance "d" and "labels" must be lists') from None
         obj = obj["d"]
     try:
         D = np.asarray(obj, dtype=float)
@@ -175,19 +187,45 @@ def default_negative_type_tol(D: np.ndarray) -> float:
     return 1e-9 * D.shape[0] * max(float(np.max(np.abs(D))), 0.0) * tolerance_scale()
 
 
+def _sum_zero_spectrum(A: np.ndarray):
+    """W = ``sum_zero_basis`` and the ascending eigenpairs (w, V) of W^T A W.
+
+    W^T A W is A compressed to the sum-zero subspace: W^T J = W^T for
+    J = I - ones/n, so J A J is never formed.
+    """
+    W = sum_zero_basis(A.shape[0])
+    M = W.T @ A @ W
+    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    return W, w, V
+
+
+def _centred_eigenpairs(dm: DistanceMatrix):
+    """(W, w, V) of the centred Gram matrix G = -1/2 J D J, computed once per entries of dm.d.
+
+    The pairs are kept on dm with a copy of its entries, and reused only
+    while dm.d still equals that copy, since dm.d may be written in place.
+    Two threads may both compute and store them; either result is the same.
+    """
+    memo = dm._centred_memo
+    if memo is not None and np.array_equal(memo[0], dm.d):
+        return memo[1:]
+    # scaling by -1/2 is exact (barring subnormals): this is -1/2 W^T D W bit for bit
+    W, w, V = _sum_zero_spectrum(-0.5 * dm.d)
+    object.__setattr__(dm, "_centred_memo", (dm.d.copy(), W, w, V))
+    return W, w, V
+
+
 def _centred(dmat, tol: float | None):
     """The negative-type report and the centred eigenpairs it rests on.
 
     Returns (dm, report, W, w, V): W is ``sum_zero_basis``, and (w, V)
     the ascending eigenpairs of M = -1/2 W^T D W, the centred Gram matrix
-    G = -1/2 J D J in that basis (W^T J = W^T, so J D J is never formed).
+    G = -1/2 J D J in that basis.
     """
     dm = as_distance_matrix(dmat)
     if tol is None:
         tol = default_negative_type_tol(dm.d)
-    W = sum_zero_basis(dm.n)
-    M = -0.5 * (W.T @ dm.d @ W)
-    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    W, w, V = _centred_eigenpairs(dm)
     min_eig = float(w[0]) if len(w) else 0.0  # one point spans no sum-zero direction
     witness = None
     if min_eig < -tol:
@@ -232,22 +270,39 @@ def menger_embeddability(dmat, tol: float | None = None) -> bool:
     """Subset-wise Cayley-Menger test for isometric embeddability of sqrt(D).
 
     Checks (-1)^k det CM(Y) >= -tol for every subset Y of size k >= 2, in
-    one stacked determinant per size k. The 2^n subsets cap the matrix at
-    12 points. Agrees with ``negative_type_check`` on every valid input.
+    one stacked determinant per size k, over submatrices gathered from one
+    bordered matrix by index tables built once per (n, k). The 2^n subsets
+    cap the matrix at 12 points. Agrees with ``negative_type_check`` on
+    every valid input.
     """
     dm = as_distance_matrix(dmat)
     n = dm.n
     if n > MENGER_MAX_POINTS:
         raise ValueError(f"subset enumeration only supported for n <= {MENGER_MAX_POINTS}, got {n}")
     dmax = max(float(np.max(dm.d)), 1e-30)
+    scale = tolerance_scale()
+    bordered = _bordered(dm.d).ravel()
     for k in range(2, n + 1):
         # determinants of k-point subsets scale like dmax^(k-1)
-        sub_tol = 1e-9 * n * dmax ** (k - 1) * tolerance_scale() if tol is None else tol
-        idx = np.array(list(itertools.combinations(range(n), k)))
-        dets = np.linalg.det(_bordered(dm.d[idx[..., None], idx[:, None]]))
+        sub_tol = 1e-9 * n * dmax ** (k - 1) * scale if tol is None else tol
+        dets = np.linalg.det(bordered[_bordered_subsets(n, k)])
         if np.any((-1.0) ** k * dets < -sub_tol):
             return False
     return True
+
+
+@functools.cache
+def _bordered_subsets(n: int, k: int) -> np.ndarray:
+    """Flat indices into the (n+1) x (n+1) bordered matrix of its k-point bordered submatrices.
+
+    Row r of the (C(n, k), k+1, k+1) result picks out [[D_YY, 1], [1^T, 0]]
+    for the r-th k-subset Y of range(n), the border index n appended to Y.
+    Read-only; every (n, k) with n <= MENGER_MAX_POINTS takes about 3 MB.
+    """
+    idx = np.array([(*c, n) for c in itertools.combinations(range(n), k)])
+    flat = idx[:, :, None] * (n + 1) + idx[:, None, :]
+    flat.flags.writeable = False
+    return flat
 
 
 def embed(dmat, tol: float | None = None) -> Embedding:
@@ -345,16 +400,24 @@ def quadruple_cm_determinant(alpha: float, eps: float) -> float:
     The entries are first rescaled by eps^-2 (the natural size of the
     divergences), which multiplies the determinant by a positive factor
     and avoids underflow; the raw determinant is restored afterwards.
-    Embeddability of the quadruple requires det >= 0, and for small eps
-    the sign follows ``cm_sign_prediction``.
+    Embeddability of the quadruple requires det >= 0.
+
+    eps is accepted in [1e-6, 1/6). Below that the entries, about eps^2,
+    are lost in the 1e-16 rounding of the entropies they are differences
+    of: their relative error is 3e-5 at eps = 1e-6, 1e-2 at 1e-7 and 1
+    at 1e-8. The determinant, of size eps^12, cancels further: its sign
+    followed ``cm_sign_prediction`` at orders 0.5 to 5 for eps from 2e-3
+    to 0.1, and at 1e-3 it no longer did.
     """
     a = check_alpha(alpha)
-    pts = quadruple_distributions(eps)
-    D = divergence_matrix(pts, a).d
-    c = 1.0 / float(eps) ** 2
+    eps = float(eps)
+    if not 1e-6 <= eps < 1.0 / 6.0:
+        raise ValueError(f"need 1e-6 <= eps < 1/6, got {eps}")
+    D = divergence_matrix(quadruple_distributions(eps), a).d
+    c = 1.0 / eps**2
     # det CM(c D) = c^(n-1) det CM(D) with n = 4
     det_scaled = cayley_menger_det(DistanceMatrix(d=c * D))
-    return det_scaled * float(eps) ** 6
+    return det_scaled * eps**6
 
 
 def falling_factorial(x: float, k: int) -> float:
@@ -427,7 +490,8 @@ class ExpConvexityReport:
     ``min_eigenvalue`` is over the full space (the positive-definiteness
     criterion); ``centered_min_eigenvalue`` restricts to sum-zero
     coefficient vectors, which is the part affine components of phi
-    cannot influence.
+    cannot influence: it is the smallest eigenvalue of W^T K W for
+    W = ``sum_zero_basis``.
     """
 
     is_positive_definite: bool
@@ -466,10 +530,7 @@ def exp_convexity_check(phi, samples, tol: float | None = None) -> ExpConvexityR
     if tol is None:
         tol = 1e-9 * m * max(float(np.max(np.abs(K))), 1.0) * tolerance_scale()
     w_full = float(np.linalg.eigvalsh(K)[0])
-    J = np.eye(m) - np.ones((m, m)) / m
-    Kc = J @ K @ J
-    Kc = (Kc + Kc.T) / 2.0
-    w_centered = float(np.linalg.eigvalsh(Kc)[0])
+    w_centered = float(_sum_zero_spectrum(K)[1][0])
     return ExpConvexityReport(
         is_positive_definite=w_full >= -tol,
         min_eigenvalue=w_full,
@@ -496,7 +557,9 @@ def power_integral(x: float, alpha: float) -> float:
     most 3.1e-15 absolute error for x in [0, 2], and 2.2e-15 relative error
     for x in [1e-6, 1e3], at orders from 0.01 to 1.999999 (including
     0.999999 and 1.000001). x is accepted in [POWER_X_MIN, POWER_X_MAX]
-    and at 0, so that no intermediate overflows.
+    and at 0, so that no intermediate overflows; at x = POWER_X_MAX the
+    value stays within 6e-14 of x**alpha up to the order 2 - 2.2e-16.
+    Orders below about 5.6e-309, where Gamma(-alpha) overflows, are refused.
     """
     a = check_alpha(alpha)
     if not (0.0 < a < 1.0 or 1.0 < a < 2.0):
@@ -512,16 +575,22 @@ def power_integral(x: float, alpha: float) -> float:
     # (-x t0)^k / k! / (k - a) for k = 1 .. 18; the last is below 1e-20 of the first
     k = np.arange(1.0, 19.0)
     terms = np.cumprod(-x * math.exp(s0) / k) / (k - a)
-    head = math.exp(-a * s0) * float(terms[k0 - 1 :].sum())
+    # each part is divided by Gamma(-a) before the sum: the head alone is
+    # about x^a |Gamma(-a)|, which exceeds the largest double as a -> 2
+    try:
+        gamma = math.gamma(-a)
+    except OverflowError:
+        raise ValueError(f"order {a!r} is too small: Gamma(-order) overflows") from None
+    head = math.exp(-a * s0) / gamma * float(terms[k0 - 1 :].sum())
     nodes, weights = _unit_panel()
     s = np.arange(s0, s1)[:, None] + nodes
     xt = x * np.exp(s)
     f = np.expm1(-xt) + xt if k0 == 2 else np.expm1(-xt)
-    body = float(((f * np.exp(-a * s)) @ weights).sum())
+    body = float(((f * np.exp(-a * s)) @ weights).sum()) / gamma
     tail = -math.exp(-a * s1) / a
     if k0 == 2:
         tail += x * math.exp((1.0 - a) * s1) / (a - 1.0)
-    return (head + body + tail) / math.gamma(-a)
+    return head + body + tail / gamma
 
 
 @functools.cache

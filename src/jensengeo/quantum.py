@@ -10,6 +10,7 @@ mirroring the unhalved total variation on the classical side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,11 @@ def _json_matrix(obj: dict) -> np.ndarray:
         raise ValueError('density "entries" must be rows of [re, im] pairs') from None
     A = pairs[..., 0] + 1j * pairs[..., 1]
     if "dim" in obj:
-        try:
-            dim = int(obj["dim"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f'density "dim" must be an integer, got {obj["dim"]!r}') from None
+        dim = obj["dim"]
+        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+            raise ValueError(f'density "dim" must be an integer, got {dim!r}')
         if dim != A.shape[0]:
-            raise ValueError(f'"dim" is {obj["dim"]} but entries are {A.shape[0]}x{A.shape[1]}')
+            raise ValueError(f'"dim" is {dim} but entries are {A.shape[0]}x{A.shape[1]}')
     return A
 
 

@@ -128,6 +128,12 @@ class TestAlphaEntropy:
         for a in (1.0 - delta, 1.0 + delta):
             assert alpha_entropy(p, a) == pytest.approx(H_QUARTER, rel=2 * delta + 1e-14)
 
+    @pytest.mark.parametrize("alpha", [1e300, 1e306, 1e308, 1.7976931348623157e308])
+    def test_huge_orders(self, alpha):
+        # sum p^a underflows to 0, so the entropy is 1 / (a - 1), without an overflow warning
+        assert alpha_entropy([0.25, 0.75], alpha) == 1.0 / alpha
+        assert alpha_entropy([1.0, 0.0], alpha) == 0.0
+
     def test_spec_window(self):
         p = [0.25, 0.75]
         assert abs(alpha_entropy(p, 1.000001) - alpha_entropy(p, 1.0)) <= 1e-5

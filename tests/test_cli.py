@@ -191,6 +191,24 @@ class TestScalarCommands:
         assert out["det"] < 0
         assert out["matches_prediction"] is True
 
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-170", "1e-7", "0", "-0.01", "nan"])
+    def test_quadruple_cm_refuses_eps_below_the_noise_floor(self, capsys, eps):
+        code, out, err = invoke(capsys, "quadruple-cm", "--alpha", "4", f"--eps={eps}")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "eps" in json.loads(err)["error"]
+
+    def test_power_integral_largest_x_near_order_two(self, capsys):
+        out = out_json(capsys, "power-integral", "--x", "1e150", "--alpha", "1.999999999")
+        assert math.isfinite(out["value"])
+        assert out["abs_error"] <= 1e-13 * out["exact"]
+
+    @pytest.mark.parametrize("dim", ["2.7", "2.0", '"2"', "true"])
+    def test_rho_dim_must_be_an_integer(self, capsys, dim):
+        rho = '{"dim": %s, "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}' % dim
+        code, out, err = invoke(capsys, "entropy", "--rho", rho)
+        assert code == EXIT_VALIDATION and out == ""
+        assert '"dim" must be an integer' in json.loads(err)["error"]
+
 
 class TestFamilyCommands:
     FAMILY = json.dumps(
@@ -324,6 +342,14 @@ class TestGeometryCommands:
         code, _, err = invoke(capsys, "embed", "--points", four)
         assert code == EXIT_VALIDATION
         assert "cap of 6" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("cmd", ["check-negative-type", "embed"])
+    @pytest.mark.parametrize("n", ["2.7", "2.0", '"2"', "true"])
+    def test_matrix_size_must_be_an_integer(self, capsys, cmd, n):
+        mat = '{"n": %s, "d": [[0.0, 1.0], [1.0, 0.0]]}' % n
+        code, out, err = invoke(capsys, cmd, "--matrix", mat)
+        assert code == EXIT_VALIDATION and out == ""
+        assert '"n" must be an integer' in json.loads(err)["error"]
 
     def test_points_and_matrix_conflict(self, capsys):
         mat = json.dumps([[0.0, 1.0], [1.0, 0.0]])
@@ -496,6 +522,48 @@ _csv_file = st.one_of(
 )
 
 
+# Numbers for the numeric flags: finite, huge, tiny and negative floats and
+# ints, and ints far above the caps, which must refuse them before any work.
+# Ints just below a cap are left out: they are accepted and slow, not faulty.
+_float_flag = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-5.0, max_value=5.0).map(repr),
+    st.sampled_from(["0", "-0.0", "1e-300", "5e-324", "1e-170", "1e150", "1e308", "1e400"]),
+    st.integers(-10, 10).map(str),
+)
+_int_flag = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(10**7, 10**30).map(str),
+    st.sampled_from([str(10**400), str(-(10**400)), "2.5", "1e3", "nan"]),
+)
+_FLAG_VALUES = {
+    "alpha": _float_flag, "x": _float_flag, "eps": _float_flag,
+    "n": _int_flag, "grid": _int_flag, "count": _int_flag, "seed": _int_flag,
+}
+_P, _Q = "[0.25, 0.75]", "[0.5, 0.5]"
+_R1, _R2 = "[[1, 0], [0, 0]]", "[[0.5, 0.5], [0.5, 0.5]]"
+_THREE = "[[1, 0], [0.5, 0.5], [0, 1]]"
+# one "--flag={}" per fuzzed number, the --flag=value form so that negative numbers stay values
+_NUMERIC = [
+    ["power-integral", "--x={}", "--alpha={}"],
+    ["quadruple-cm", "--alpha={}", "--eps={}"],
+    ["counterexample", "--alpha={}"],
+    ["diagram", "--alpha={}", "--n={}", "--grid={}"],
+    ["gen", "--kind", "distribution", "--n={}", "--count={}", "--seed={}"],
+    ["gen", "--kind", "density", "--n={}", "--count={}"],
+    ["gen", "--kind", "pure", "--n={}", "--count={}"],
+    ["entropy", "--alpha={}", "--p", _P],
+    ["entropy", "--alpha={}", "--rho", _R2],
+    ["jd", "--alpha={}", "--p", _P, "--q", _Q],
+    ["qjd", "--alpha={}", "--rho1", _R1, "--rho2", _R2],
+    ["bounds", "--alpha={}", "--p", _P, "--q", _Q],
+    ["bounds", "--alpha={}", "--rho1", _R1, "--rho2", _R2],
+    ["chain", "--alpha={}", "--p", _P, "--q", _Q],
+    ["check-negative-type", "--alpha={}", "--points", _THREE],
+    ["embed", "--alpha={}", "--points", _THREE],
+]
+
+
 def _run_quietly(argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -535,6 +603,19 @@ class TestFuzzedInputs:
         code, err = _run_quietly(argv)
         assert code == EXIT_VALIDATION
         assert "error" in json.loads(err)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_numeric_flags(self, data):
+        template = data.draw(st.sampled_from(_NUMERIC))
+        argv = [
+            arg.format(data.draw(_FLAG_VALUES[arg[2:-3]])) if arg.endswith("={}") else arg
+            for arg in template
+        ]
+        code, err = _run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE), argv
+        if code != EXIT_OK:
+            assert "error" in json.loads(err), argv
 
     @given(st.sampled_from(["check-negative-type", "embed"]), _json_values)
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])

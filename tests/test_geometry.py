@@ -69,6 +69,16 @@ class TestDistanceMatrixValidation:
         dm = as_distance_matrix([[0.0, -1e-13], [-1e-13, 0.0]])
         assert dm.d[0, 1] == 0.0
 
+    @pytest.mark.parametrize(
+        "n, d",
+        # true equals 1, the size of the last matrix
+        [(2.7, [[0, 1], [1, 0]]), (2.0, [[0, 1], [1, 0]]), ("2", [[0, 1], [1, 0]]),
+         (None, [[0, 1], [1, 0]]), ([2], [[0, 1], [1, 0]]), (True, [[0]])],
+    )
+    def test_wire_size_must_be_an_integer(self, n, d):
+        with pytest.raises(ValueError, match='"n" must be an integer'):
+            as_distance_matrix({"n": n, "d": d})
+
 
 class TestDivergenceMatrix:
     def test_identical_points(self):
@@ -182,6 +192,82 @@ class TestNegativeType:
         )
 
 
+class TestCentredEigenpairsShared:
+    """negative_type_check and embed on one DistanceMatrix share one eigendecomposition."""
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_one_eigh_for_check_then_embed(self, monkeypatch, alpha):
+        rng = np.random.default_rng(44)
+        dm = divergence_matrix([random_distribution(4, rng) for _ in range(9)], alpha)
+        calls = self.count_eigh(monkeypatch)
+        report = negative_type_check(dm)
+        emb = embed(dm)
+        assert len(calls) == 1
+        assert report.is_negative_type
+        again = embed(dm.d.copy())
+        assert len(calls) == 2
+        assert np.array_equal(emb.coords, again.coords)
+        assert emb.reconstruction_error == again.reconstruction_error
+
+    def test_report_follows_the_tolerance_of_each_call(self, monkeypatch):
+        dm = jd_matrix_of_triple(2.5)
+        calls = self.count_eigh(monkeypatch)
+        assert not negative_type_check(dm, tol=1e-12).is_negative_type
+        assert negative_type_check(dm, tol=10.0).is_negative_type
+        monkeypatch.setenv("JG_TOLERANCE_SCALE", "1e12")
+        assert negative_type_check(dm).is_negative_type
+        assert len(calls) == 1
+
+    def test_in_place_writes_are_seen(self):
+        rng = np.random.default_rng(45)
+        pts = [random_distribution(3, rng) for _ in range(7)]
+        dm = divergence_matrix(pts, 1.0)
+        assert negative_type_check(dm).is_negative_type
+        other = divergence_matrix(pts, 2.0).d
+        dm.d[...] = other
+        fresh = embed(other.copy())
+        emb = embed(dm)
+        assert np.array_equal(emb.coords, fresh.coords)
+        assert emb.reconstruction_error == fresh.reconstruction_error
+        # one entry rewritten in place, and the diagonal by np.fill_diagonal
+        dm.d[0, 1] = dm.d[1, 0] = 4.0 * dm.d[0, 1]
+        for _ in range(2):
+            report = negative_type_check(dm)
+            fresh = negative_type_check(DistanceMatrix(d=dm.d.copy()))
+            assert report.min_eigenvalue == fresh.min_eigenvalue
+            assert np.array_equal(report.witness_vector, fresh.witness_vector)
+            np.fill_diagonal(dm.d, 1.0)
+        assert not report.is_negative_type
+
+    def test_witness_of_a_refuted_matrix(self):
+        dm = jd_matrix_of_triple(2.5)
+        report = negative_type_check(dm)
+        with pytest.raises(NegativeTypeError) as err:
+            embed(dm)
+        assert np.array_equal(err.value.report.witness_vector, report.witness_vector)
+        assert err.value.report.min_eigenvalue == report.min_eigenvalue
+
+    def test_sum_zero_basis_stays_fresh_and_writable(self):
+        dm = divergence_matrix([np.array(p) for p in COUNTEREXAMPLE_TRIPLE], 1.0)
+        embed(dm)
+        W = sum_zero_basis(3)
+        W[...] = 0.0
+        assert not np.array_equal(sum_zero_basis(3), W)
+        assert embed(dm).reconstruction_error <= 1e-12
+
+
 class TestCayleyMenger:
     def test_equilateral_triple(self):
         # det [[D,1],[1,0]] for unit squared distances: eigenvalues of
@@ -281,6 +367,22 @@ class TestMengerEmbeddability:
                 verdicts.append(verdict)
         assert len(verdicts) >= 200
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_repeated_calls_give_the_first_verdicts(self):
+        rng = np.random.default_rng(46)
+        inputs = []
+        for n in range(2, 13):
+            x = rng.standard_normal((n, 2))
+            E = rng.uniform(-0.05, 0.05, (n, n))
+            D = np.maximum(np.sum((x[:, None] - x[None]) ** 2, axis=2) + E + E.T, 0.0)
+            np.fill_diagonal(D, 0.0)
+            inputs.append(D)
+        first = [menger_embeddability(D) for D in inputs]
+        assert first == [self.subset_loop(D) for D in inputs]
+        assert 0 < sum(first) < len(first)
+        for _ in range(2):
+            assert [menger_embeddability(D) for D in inputs] == first
+            assert [menger_embeddability(D) for D in reversed(inputs)] == first[::-1]
 
     def test_explicit_tolerance(self):
         D = jd_matrix_of_triple(2.5).d
@@ -407,6 +509,15 @@ class TestQuadrupleCM:
             quadruple_cm_determinant(1.0, 0.2)
         with pytest.raises(ValueError):
             quadruple_cm_determinant(1.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [9.9e-7, 1e-8, 1e-170, 1e-300, 5e-324, math.nan, -1e-3])
+    def test_eps_below_the_noise_floor(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            quadruple_cm_determinant(4.0, eps)
+
+    def test_smallest_eps_is_finite(self):
+        for a in (0.5, 1.0, 2.5, 4.0):
+            assert math.isfinite(quadruple_cm_determinant(a, 1e-6))
 
     def test_quadruple_points(self):
         pts = quadruple_distributions(0.01)
@@ -585,10 +696,22 @@ class TestPowerIntegral:
         with pytest.raises(ValueError):
             power_integral(-0.1, 0.5)
 
+    def test_tiniest_orders(self):
+        # Gamma(-a) is about -1/a, finite down to a = 5.6e-309
+        assert power_integral(1e150, 6e-309) == 1.0
+        with pytest.raises(ValueError, match="too small"):
+            power_integral(0.5, 5e-324)
+
     @pytest.mark.parametrize("x", [1e-301, 1e151, math.inf, math.nan])
     def test_x_out_of_range(self, x):
         with pytest.raises(ValueError):
             power_integral(x, 0.5)
+
+    @pytest.mark.parametrize("alpha", [1.999999999, 1.9999999999999998, 1.5, 0.999999, 0.5])
+    @pytest.mark.parametrize("x", [1e150, 1e100])
+    def test_no_overflow_at_the_largest_x(self, x, alpha):
+        # the unscaled sum of the parts is about x^a |Gamma(-a)|, above the largest double
+        assert abs(power_integral(x, alpha) / x**alpha - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     @pytest.mark.parametrize("x", [1e-6, 1e-3, 10.0, 1e3])

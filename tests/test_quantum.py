@@ -41,6 +41,10 @@ def charpoly_eigs_3x3(A):
     return np.sort(roots.real)[::-1]
 
 
+# the maximally mixed qubit in the wire format
+HALF = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+
+
 class TestValidateDensity:
     def test_maximally_mixed(self):
         rho = validate_density(MAX_MIXED)
@@ -81,6 +85,18 @@ class TestValidateDensity:
     def test_json_rejects_entries_that_are_not_pairs(self, entries):
         with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
             density_from_json({"entries": entries})
+
+    @pytest.mark.parametrize(
+        "dim, entries",
+        # true equals 1, the size of the last matrix
+        [(2.7, HALF), (2.0, HALF), ("2", HALF), (None, HALF), (True, [[[1, 0]]])],
+    )
+    def test_json_dim_must_be_an_integer(self, dim, entries):
+        with pytest.raises(ValueError, match='"dim" must be an integer'):
+            density_from_json({"dim": dim, "entries": entries})
+
+    def test_json_dim_may_be_a_numpy_integer(self):
+        assert density_from_json({"dim": np.int64(2), "entries": HALF}).dim == 2
 
 
 class TestSpectrum:
