@@ -244,11 +244,11 @@ def q_bound_report(rho1, rho2, alpha: float) -> BoundReport:
     is (ln 2 / 2) T, a bound only for orders in [1, 2].
     """
     a = check_alpha(alpha)
-    X = _density_stack((rho1, rho2))
+    X, w = _density_stack((rho1, rho2))
     t = _distance(X)
     return BoundReport(
         lower=_lower_bound(t, a, X.shape[1]),
-        value=_divergence(X, _EVEN, a).value,
+        value=_divergence(X, _EVEN, a, w).value,
         upper=(LN2 / 2.0) * t,
         v=t,
         alpha=a,
@@ -345,9 +345,11 @@ def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
     Emits both bounding curves on a ``grid``-point v-grid over [0, 2]
     and a ``grid`` x ``grid`` family of homotopy samples whose (v, jd)
     points fill the region between the curves. The emitted lower curve
-    bounds every sample when n = 2 or alpha = 1; for n >= 3 at other
-    orders interior samples can dip below it (the joint range extends
-    further down there, per the module docstring's caveat on L).
+    is L. It bounds every sample for n = 2 at orders in (0, 2] and for
+    any n at order 1, the cases the module docstring proves. Elsewhere
+    samples can dip below it: for n >= 3 at other orders, and for n = 2
+    at orders in (2, 3) (at grid 20, 342 of the 400 samples at orders
+    2.2, 2.5 and 2.8).
     """
     a = check_alpha(alpha)
     if n < 2:

@@ -131,23 +131,13 @@ def _check_labels(labels) -> None:
         raise ValueError(f"distributions carry different labels: {labels[0]} and {other}")
 
 
-def _stack_points(arrays: list, raw: list, validate, what: str) -> np.ndarray:
-    """Stack the parsed arrays of a point set, validating the raw ones in one call.
-
-    ``raw`` lists the indices of the points that still need the value
-    checks of ``validate`` (validated objects pass through); ``what``
-    names the size ("length" or "dimension") that must agree across the
-    points.
-    """
+def _stack_points(arrays: list, what: str) -> np.ndarray:
+    """Stack the parsed arrays of a point set; ``what`` names the size
+    ("length" or "dimension") that must agree across the points."""
     sizes = {len(a) for a in arrays}
     if len(sizes) != 1:
         raise ValueError(f"{what} mismatch: points of mixed {what}s: {sorted(sizes)}")
-    X = np.array(arrays)
-    if len(raw) == len(X):
-        return validate(X)
-    if raw:
-        X[raw] = validate(X[raw])
-    return X
+    return np.array(arrays)
 
 
 def _distribution_stack(points) -> tuple[np.ndarray, list]:
@@ -164,7 +154,11 @@ def _distribution_stack(points) -> tuple[np.ndarray, list]:
         for p in points
     ]
     raw = [i for i, p in enumerate(points) if not isinstance(p, Distribution)]
-    X = _stack_points([a for a, _ in parts], raw, _validate_distributions, "length")
+    X = _stack_points([a for a, _ in parts], "length")
+    if len(raw) == len(X):
+        X = _validate_distributions(X)
+    elif raw:
+        X[raw] = _validate_distributions(X[raw])
     labels = [lab for _, lab in parts]
     _check_labels(labels)
     return X, labels

@@ -168,7 +168,8 @@ def divergence_matrix(points, alpha: float = 1.0) -> DistanceMatrix:
     n = len(points)
     i, j = np.triu_indices(n, k=1)
     pairs = np.stack([i, j], axis=1)
-    values = _gaps(_validated_stack(points)[1], pairs, np.full(pairs.shape, 0.5), a)[0]
+    _, X, w, _ = _validated_stack(points)
+    values = _gaps(X, pairs, np.full(pairs.shape, 0.5), a, w)[0]
     D = np.zeros((n, n))
     D[i, j] = D[j, i] = values
     return DistanceMatrix(d=D)
@@ -505,7 +506,7 @@ def midpoint_kernel(phi, samples) -> np.ndarray:
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     if _is_state(samples[0]):
-        xs = _density_stack(samples)
+        xs = _density_stack(samples)[0]
     else:
         xs = [float(s) for s in samples]
     m = len(xs)

@@ -30,6 +30,7 @@ from .quantum import (
     _density_stack,
     _is_state,
     _relative_entropies,
+    _spectra,
     as_density,
     density_to_json,
     relative_entropy,
@@ -91,25 +92,32 @@ class DivergenceResult:
     dual_residual: float | None = None
 
 
-def _validated_stack(points, kind: str | None = None) -> tuple[str, np.ndarray, list]:
+def _validated_stack(
+    points, kind: str | None = None
+) -> tuple[str, np.ndarray, np.ndarray | None, list]:
     """Validate points as all distributions of one length or all states of one dimension.
 
     ``kind`` ("classical" or "quantum") says which; by default the first
     point decides. The points are validated in one call of that kind's
     ``_distribution_stack`` or ``_density_stack``. Returns the kind, the
-    validated points stacked as (N, n) or (N, d, d), and their labels
-    (None for states).
+    validated points stacked as (N, n) or (N, d, d), the states'
+    eigenvalues as ``_density_stack`` returns them (None for
+    distributions), and the labels (None for states).
     """
     if kind is None:
         kind = "quantum" if _is_state(points[0]) else "classical"
     if kind == "quantum":
-        return kind, _density_stack(points), [None] * len(points)
-    return kind, *_distribution_stack(points)
+        return kind, *_density_stack(points), [None] * len(points)
+    X, labels = _distribution_stack(points)
+    return kind, X, None, labels
 
 
-def _stack(fam: WeightedFamily, *extra) -> np.ndarray:
-    """The members of fam, and extra points of its kind after them, as one validated array."""
-    return _validated_stack(fam.members + extra, fam.kind)[1]
+def _stack(fam: WeightedFamily, *extra) -> tuple[np.ndarray, np.ndarray | None]:
+    """The members of fam, and extra points of its kind after them, as one validated array.
+
+    Also returns the eigenvalues that validation found (see ``_validated_stack``).
+    """
+    return _validated_stack(fam.members + extra, fam.kind)[1:3]
 
 
 def _mix(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -124,43 +132,64 @@ def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _gaps(
-    X: np.ndarray, index: np.ndarray, weights: np.ndarray, a: float
+    X: np.ndarray,
+    index: np.ndarray,
+    weights: np.ndarray,
+    a: float,
+    wx: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Order-a concavity gaps of R weighted families of validated points.
 
     ``X`` stacks the points, distributions as (N, n) or states as
     (N, d, d); row r of ``index`` (R, k) picks the members of family r and
-    row r of ``weights`` (R, k) their weights. Returns, for every r,
-    S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]), and the dual residuals
-    (None away from order 1). Every point and every mixture is decomposed
-    once, in one stacked call per side. The gaps are nonnegative by
-    concavity, so float noise below zero (and -0.0) is returned as 0.0.
-    At order 1 each gap is checked against the averaged relative entropy
-    sum_j w_rj D(X[index_rj] || mixture_r) from the same decompositions:
-    the residuals are |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
-    DUAL_TOL_QUANTUM raises ArithmeticError.
+    row r of ``weights`` (R, k) their weights. For states, ``wx`` holds
+    the eigenvalues that ``_density_stack`` returned with X. Returns, for
+    every r, S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]), and the dual
+    residuals (None away from order 1).
+
+    What is decomposed depends on the order (and only states are):
+    - order 2: nothing. S_2(x) = 1 - ||x||^2 and the weights sum to 1, so
+      the gap is sum_j w_rj ||X[index_rj] - mixture_r||^2 (Euclidean, or
+      Hilbert-Schmidt over the complex entries), nonnegative as computed.
+    - other orders: the mixtures, in one stacked ``eigvalsh``. The
+      points' eigenvalues are taken from ``wx``; the points it lacks
+      (NaN rows, or all when it is None) take one stacked ``eigvalsh``.
+    - order 1: the mixtures by ``eigh`` instead, as each gap is checked
+      against the averaged relative entropy
+      sum_j w_rj D(X[index_rj] || mixture_r), which needs the members'
+      eigenvalues and the mixtures' eigenpairs. The residuals are
+      |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
+      DUAL_TOL_QUANTUM raises ArithmeticError.
+    The entropy-difference gaps are nonnegative by concavity, so float
+    noise below zero (and -0.0) is returned as 0.0.
     """
     quantum = X.ndim == 3
-    mix = _mix(X[index], weights)
-    if quantum and a == 1.0:
-        (wx, Vx), (wm, Vm) = np.linalg.eigh(X), np.linalg.eigh(mix)
-    elif quantum:
-        wx, wm = np.linalg.eigvalsh(X), np.linalg.eigvalsh(mix)
-    else:
-        wx, wm = X, mix
+    members = X[index]
+    mix = _mix(members, weights)
+    if a == 2.0:
+        # The mixtures of validated states need no PSD check: by Weyl's inequality
+        # lambda_min(sum_j w_j rho_j) >= sum_j w_j lambda_min(rho_j) >= EIG_FLOOR.
+        members -= mix[:, None]  # a copy of the points: their deviations from the mixtures
+        sq = np.abs(members)
+        sq *= sq
+        return (weights * sq.reshape(weights.shape + (-1,)).sum(axis=-1)).sum(axis=-1), None
     if quantum:
+        wx = _spectra(X, wx)
+        wm, Vm = np.linalg.eigh(mix) if a == 1.0 else (np.linalg.eigvalsh(mix), None)
         if wm.min() < EIG_FLOOR:
             raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
         wx, wm = _clipped(wx), _clipped(wm)
+    else:
+        wx, wm = X, mix
     gaps = _entropies(wm, a) - (weights * _entropies(wx, a)[index]).sum(axis=-1)
     floored = np.where(gaps <= 0.0, 0.0, gaps)
     if a != 1.0:
         return floored, None
     if quantum:
-        d = _relative_entropies(wx[index], Vx[index], wm[:, None], Vm[:, None])
+        d = _relative_entropies(wx[index], members, wm[:, None], Vm[:, None])
         tol = DUAL_TOL_QUANTUM
     else:
-        d = _kl(X[index], mix[:, None])
+        d = _kl(members, mix[:, None])
         tol = DUAL_TOL_CLASSICAL
     avg = _weighted_mean(weights, d)
     residual = np.abs(gaps - avg)
@@ -187,7 +216,7 @@ def weighted_family(members, weights, kind: str | None = None) -> WeightedFamily
     w = as_distribution(weights)
     if len(w) != len(members):
         raise ValueError(f"{len(members)} members but {len(w)} weights")
-    kind, X, labels = _validated_stack(members, kind)
+    kind, X, _, labels = _validated_stack(members, kind)
 
     def point(m, x, lab):
         # members that were Distribution or DensityMatrix objects already are kept as they are
@@ -231,7 +260,7 @@ def family_to_json(fam: WeightedFamily) -> dict:
 
 def mixture(fam: WeightedFamily):
     """The barycenter: weighted sum of the members."""
-    mix = _mix(_stack(fam), fam.weights.probs)
+    mix = _mix(_stack(fam)[0], fam.weights.probs)
     return validate_density(mix) if fam.kind == "quantum" else as_distribution(mix)
 
 
@@ -240,10 +269,15 @@ def _require_kind(fam: WeightedFamily, kind: str) -> None:
         raise ValueError(f"need a {kind} family, got {fam.kind}")
 
 
-def _divergence(X: np.ndarray, weights: np.ndarray, alpha: float) -> DivergenceResult:
-    """The order-alpha gap of one family whose validated members ``X`` stacks, through ``_gaps``."""
+def _divergence(
+    X: np.ndarray, weights: np.ndarray, alpha: float, wx: np.ndarray | None = None
+) -> DivergenceResult:
+    """The order-alpha gap of one family whose validated members ``X`` stacks, through ``_gaps``.
+
+    ``wx`` is passed on to ``_gaps``: the eigenvalues of states found by validation.
+    """
     a = check_alpha(alpha)
-    values, residuals = _gaps(X, np.arange(len(X))[None], weights[None], a)
+    values, residuals = _gaps(X, np.arange(len(X))[None], weights[None], a, wx)
     return DivergenceResult(
         value=float(values[0]),
         alpha=a,
@@ -265,7 +299,7 @@ def jd_general(fam: WeightedFamily) -> DivergenceResult:
 def jd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     """Order-alpha Jensen divergence S_a(mixture) - sum_i pi_i S_a(P_i)."""
     _require_kind(fam, "classical")
-    return _divergence(_stack(fam), fam.weights.probs, alpha)
+    return _divergence(_stack(fam)[0], fam.weights.probs, alpha)
 
 
 def jd_alpha(p, q, alpha: float = 1.0) -> DivergenceResult:
@@ -285,12 +319,14 @@ def qjd_alpha_general(fam: WeightedFamily, alpha: float) -> DivergenceResult:
     no averaged-relative-entropy identity away from order 1.
     """
     _require_kind(fam, "quantum")
-    return _divergence(_stack(fam), fam.weights.probs, alpha)
+    X, w = _stack(fam)
+    return _divergence(X, fam.weights.probs, alpha, w)
 
 
 def qjd_alpha(rho, sigma, alpha: float = 1.0) -> DivergenceResult:
     """Order-alpha quantum Jensen divergence of two states with even weights."""
-    return _divergence(_density_stack((rho, sigma)), _EVEN, alpha)
+    X, w = _density_stack((rho, sigma))
+    return _divergence(X, _EVEN, alpha, w)
 
 
 def redundancy(fam: WeightedFamily, q) -> float:
@@ -300,7 +336,7 @@ def redundancy(fam: WeightedFamily, q) -> float:
     divergence of the family. +inf propagates from any support escape.
     """
     _require_kind(fam, "classical")
-    X = _stack(fam, q)
+    X = _stack(fam, q)[0]
     return float(_weighted_mean(fam.weights.probs, _kl(X[:-1], X[-1])))
 
 
@@ -323,8 +359,9 @@ def compensation_residual(fam: WeightedFamily, q) -> float:
 def q_redundancy(fam: WeightedFamily, sigma) -> float:
     """Mean quantum coding redundancy sum_i pi_i S(rho_i || sigma)."""
     _require_kind(fam, "quantum")
-    w, V = np.linalg.eigh(_stack(fam, sigma))
-    d = _relative_entropies(w[:-1], V[:-1], w[-1], V[-1])
+    X, w = _stack(fam, sigma)
+    ws, Vs = np.linalg.eigh(X[-1])
+    d = _relative_entropies(_spectra(X[:-1], w[:-1]), X[:-1], ws, Vs)
     return float(_weighted_mean(fam.weights.probs, d))
 
 

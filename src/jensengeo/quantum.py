@@ -41,7 +41,6 @@ __all__ = [
 
 HERM_TOL = 1e-10      # max |A - A^dagger| accepted before symmetrization
 TRACE_TOL = 1e-9      # |tr - 1| above this is a hard error
-EIG_CLIP = 1e-10      # eigenvalues in (-EIG_CLIP, 0) are clipped to 0
 EIG_FLOOR = -1e-8     # eigenvalues below this mean a genuinely non-PSD input
 PURITY_TOL = 1e-9     # rank-1 test: largest eigenvalue >= 1 - PURITY_TOL
 SUPPORT_TOL = 1e-10   # eigenvalues <= this count as the null space
@@ -74,7 +73,7 @@ def validate_density(raw) -> DensityMatrix:
     an eigenvalue below -1e-8. Smaller negative eigenvalues are kept and
     clipped to zero only when entropic quantities are evaluated.
     """
-    return DensityMatrix(matrix=_validate_densities(_density_array(raw)[None])[0])
+    return DensityMatrix(matrix=_validate_densities(_density_array(raw)[None])[0][0])
 
 
 def _density_array(raw) -> np.ndarray:
@@ -92,13 +91,15 @@ def _density_array(raw) -> np.ndarray:
     return A
 
 
-def _validate_densities(A: np.ndarray) -> np.ndarray:
+def _validate_densities(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The state checks of ``validate_density`` on every matrix of an (N, d, d) complex array.
 
     Returns the matrices symmetrized, with each trace within TRACE_TOL of
-    1 (but not 1) divided out; the smallest eigenvalues come from one
-    stacked ``eigvalsh``. Where several matrices fail, the first check
-    that any matrix fails is reported, for the first matrix that fails it.
+    1 (but not 1) divided out, and their (N, d) ascending eigenvalues:
+    the one stacked ``eigvalsh`` that finds the smallest eigenvalues
+    serves the divergence kernels too. Where several matrices fail, the
+    first check that any matrix fails is reported, for the first matrix
+    that fails it.
     """
     if not np.isfinite(A).all():
         raise ValueError("density matrix entries must be finite")
@@ -115,22 +116,25 @@ def _validate_densities(A: np.ndarray) -> np.ndarray:
     if dev.max() > TRACE_TOL:
         raise ValueError(f"trace is {float(tr[np.argmax(dev > TRACE_TOL)])}, not 1")
     np.divide(A, tr[:, None, None], out=A, where=(dev != 0.0)[:, None, None])
-    w_min = np.linalg.eigvalsh(A)[:, 0]
+    w = np.linalg.eigvalsh(A)
+    w_min = w[:, 0]
     if w_min.min() < EIG_FLOOR:
         raise ValueError(
             "matrix is not positive semidefinite: "
             f"min eigenvalue {w_min[np.argmax(w_min < EIG_FLOOR)]:.3e}"
         )
-    return A
+    return A, w
 
 
-def _density_stack(points) -> np.ndarray:
+def _density_stack(points) -> tuple[np.ndarray, np.ndarray]:
     """Validate points as states of one dimension, in one stacked call.
 
     DensityMatrix objects pass through; every other point is parsed (a
     wire-format mapping to its matrix) and shape-checked, and then the
     value checks of ``_validate_densities`` run once, over all of them.
-    Returns the (N, d, d) stack.
+    Returns the (N, d, d) stack and the (N, d) ascending eigenvalues that
+    validation computed; the rows of DensityMatrix objects, which skip
+    validation, are NaN there (``_spectra`` fills them when needed).
     """
     arrays = [
         p.matrix
@@ -139,7 +143,29 @@ def _density_stack(points) -> np.ndarray:
         for p in points
     ]
     raw = [i for i, p in enumerate(points) if not isinstance(p, DensityMatrix)]
-    return _stack_points(arrays, raw, _validate_densities, "dimension")
+    X = _stack_points(arrays, "dimension")
+    if len(raw) == len(X):
+        return _validate_densities(X)
+    w = np.full(X.shape[:2], math.nan)
+    if raw:
+        X[raw], w[raw] = _validate_densities(X[raw])
+    return X, w
+
+
+def _spectra(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """The ascending eigenvalues of the states X, given those ``_density_stack`` found.
+
+    Rows of ``w`` that validation computed are kept; the NaN rows (all
+    rows when ``w`` is None) come from one stacked ``eigvalsh`` over
+    those states.
+    """
+    if w is None:
+        return np.linalg.eigvalsh(X)
+    missing = np.isnan(w[:, 0])
+    if missing.any():
+        w = w.copy()
+        w[missing] = np.linalg.eigvalsh(X[missing])
+    return w
 
 
 def as_density(obj) -> DensityMatrix:
@@ -203,7 +229,12 @@ def spectrum(rho, with_vectors: bool = False) -> Spectrum:
 
 
 def _clipped(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues with their float-noise negatives set to zero."""
+    """Eigenvalues with every negative one set to zero.
+
+    Validation accepts eigenvalues down to EIG_FLOOR (-1e-8), and
+    ``jensen._gaps`` refuses mixtures below it, so all the negatives met
+    here are taken as float noise of a PSD matrix.
+    """
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -222,22 +253,23 @@ def alpha_entropy_q(rho, alpha: float) -> float:
     return float(_entropies(_clipped(spectrum(rho).eigenvalues), a))
 
 
-def _relative_entropies(wr, Vr, ws, Vs) -> np.ndarray:
-    """S(rho||sigma) from the eigendecompositions (w, V) of rho and sigma, over leading axes.
+def _relative_entropies(wr, R, ws, Vs) -> np.ndarray:
+    """S(rho||sigma) from rho's eigenvalues wr and matrix R and sigma's eigenpairs (ws, Vs).
 
-    +inf where the support of rho escapes that of sigma: an eigenvector of
-    rho with eigenvalue > 1e-10 has squared projection > 1e-10 onto the
-    null space of sigma (its eigenvalues <= 1e-10).
+    Broadcasts over leading axes. The form
+    sum_k r_k ln r_k - sum_l <sigma_l|rho|sigma_l> ln s_l needs no
+    eigenvectors of rho. Eigenvalues <= SUPPORT_TOL (1e-10) count as 0.
+    +inf where rho puts weight Tr rho Pi > 1e-10 on the null space of
+    sigma (Pi projects onto its eigenvectors with eigenvalues <= 1e-10).
     """
-    # overlaps[..., l, k] = |<sigma_l|rho_k>|^2
-    overlaps = np.abs(np.swapaxes(Vs.conj(), -1, -2) @ Vr) ** 2
+    # diag[..., l] = <sigma_l|rho|sigma_l>. U holds sigma's eigenvectors as contiguous rows,
+    # so that einsum's inner loop runs along contiguous memory.
+    U = np.ascontiguousarray(np.swapaxes(Vs, -1, -2))
+    diag = np.einsum("...lk,...km,...lm->...l", U.conj(), R, U).real
     null = ws <= SUPPORT_TOL
-    leak = (overlaps * null[..., :, None]).sum(axis=-2)
-    escape = ((wr > SUPPORT_TOL) & (leak > SUPPORT_TOL)).any(axis=-1)
+    escape = (diag * null).sum(axis=-1) > SUPPORT_TOL
     tr_rho_ln_rho = -_entropies(np.where(wr > SUPPORT_TOL, wr, 0.0), 1.0)
-    # <sigma_l|rho|sigma_l> = sum_k w_k |<sigma_l|rho_k>|^2
-    weights = (overlaps @ wr[..., None])[..., 0]
-    tr_rho_ln_sigma = (weights * np.log(np.where(null, 1.0, ws))).sum(axis=-1)
+    tr_rho_ln_sigma = (diag * np.log(np.where(null, 1.0, ws))).sum(axis=-1)
     return np.where(escape, math.inf, tr_rho_ln_rho - tr_rho_ln_sigma)
 
 
@@ -245,22 +277,24 @@ def relative_entropy(rho, sigma) -> float:
     """S(rho||sigma) = Tr rho ln rho - Tr rho ln sigma.
 
     Returns +inf when the support of rho is not contained in the support
-    of sigma (an eigenvector of rho with eigenvalue > 1e-10 has squared
-    projection > 1e-10 onto the null space of sigma).
+    of sigma: when rho puts weight Tr rho Pi > 1e-10 on the null space of
+    sigma, Pi being the projector onto the eigenvectors of sigma with
+    eigenvalues <= 1e-10.
     """
-    w, V = np.linalg.eigh(_density_stack((rho, sigma)))
-    return float(_relative_entropies(w[0], V[0], w[1], V[1]))
+    X, w = _density_stack((rho, sigma))
+    ws, Vs = np.linalg.eigh(X[1])
+    return float(_relative_entropies(_spectra(X[:1], w[:1])[0], X[0], ws, Vs))
 
 
 def trace_distance(rho, sigma) -> float:
     """||rho - sigma||_1 = sum |eigenvalues of (rho - sigma)|, in [0, 2]."""
-    r, s = _density_stack((rho, sigma))
+    r, s = _density_stack((rho, sigma))[0]
     return float(np.sum(np.abs(np.linalg.eigvalsh(r - s))))
 
 
 def hs_distance_sq(rho, sigma) -> float:
     """Squared Hilbert-Schmidt distance Tr((rho - sigma)^2)."""
-    r, s = _density_stack((rho, sigma))
+    r, s = _density_stack((rho, sigma))[0]
     return float(np.sum(np.abs(r - s) ** 2))
 
 

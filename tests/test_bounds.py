@@ -406,6 +406,15 @@ class TestDiagram:
         for _, v, jd in pts.homotopy_samples:
             assert lower_L(v, alpha) - 1e-12 <= jd <= upper_U2(v, alpha) + 1e-12
 
+    @pytest.mark.parametrize(
+        "alpha, below", [(0.5, 0), (1.0, 0), (2.0, 0), (2.2, 342), (2.5, 342), (2.8, 342)]
+    )
+    def test_two_letter_lower_curve_holds_only_up_to_order_two(self, alpha, below):
+        # L bounds the two-letter samples at orders in (0, 2], as proven; in (2, 3) most dip below
+        pts = diagram(alpha, 2, 20)
+        count = sum(jd < lower_L(v, alpha) - 1e-12 for _, v, jd in pts.homotopy_samples)
+        assert count == below
+
     def test_interior_dips_below_lower_curve_beyond_order_one(self):
         # the flip side of the lower bound's n >= 3 failure: the sampled
         # joint range extends below the two-letter lower curve at order 2

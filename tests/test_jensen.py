@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jensengeo.classical import (
+    alpha_norm_power,
     binary_alpha_entropy,
     kl_divergence,
     random_distribution,
@@ -28,7 +29,14 @@ from jensengeo.jensen import (
     redundancy,
     weighted_family,
 )
-from jensengeo.quantum import ginibre_state, random_pure_state, random_unitary
+from jensengeo.quantum import (
+    ginibre_state,
+    hs_distance_sq,
+    random_pure_state,
+    random_unitary,
+    relative_entropy,
+    validate_density,
+)
 
 LN2 = math.log(2.0)
 PURE0 = np.diag([1.0, 0.0]).astype(complex)
@@ -468,3 +476,132 @@ class TestHolevo:
             from jensengeo.quantum import von_neumann_entropy
 
             assert holevo_bound(fam) <= von_neumann_entropy(mixture(fam)) + 1e-12
+
+
+class TestOrderTwoClosedForm:
+    """JD_2 = ||P - Q||^2 / 4 and QJD_2 = ||rho - sigma||_HS^2 / 4, also for nearby pairs."""
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-6])
+    def test_pairs_equal_a_quarter_of_the_squared_distance(self, t):
+        # the second point is (1 - t) x + t y, at distance t ||x - y|| from the first; an
+        # entropy difference loses about 9e-5 of the value to cancellation at t = 1e-6
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            p, r = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+            q = (1.0 - t) * p + t * r
+            expected = alpha_norm_power(p, q, 2.0) / 4.0
+            assert jd_alpha(p, q, 2.0).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+            rho, tau = ginibre_state(3, rng).matrix, random_pure_state(3, rng).matrix
+            sigma = (1.0 - t) * rho + t * tau
+            expected = hs_distance_sq(rho, sigma) / 4.0
+            assert qjd_alpha(rho, sigma, 2.0).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_families(self):
+        rng = np.random.default_rng(48)
+        for k in (1, 3, 6):
+            w = rng.dirichlet(np.ones(k))
+            fam = weighted_family([ginibre_state(3, rng) for _ in range(k)], w)
+            X = np.array([m.matrix for m in fam.members])
+            mix = mixture(fam).matrix
+            expected = sum(wj * np.sum(np.abs(x - mix) ** 2) for wj, x in zip(w, X))
+            assert qjd_alpha_general(fam, 2.0).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestSpectraTakenOnce:
+    """Each state is decomposed once, by the eigvalsh that validates it, and each mixture once."""
+
+    @staticmethod
+    def count_matrices(monkeypatch):
+        counts = {"calls": 0, "eigh": 0, "eigvalsh": 0}
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(A, *args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
+                counts["calls"] += 1
+                counts[_name] += int(np.prod(np.shape(A)[:-2]))
+                return _solver(A, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @staticmethod
+    def expected(calls: int, states: int, mixtures: int, alpha: float) -> dict:
+        mixtures *= alpha != 2.0
+        return {
+            "calls": calls,
+            "eigh": mixtures if alpha == 1.0 else 0,
+            "eigvalsh": states + (0 if alpha == 1.0 else mixtures),
+        }
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_raw_states(self, monkeypatch, alpha):
+        rng = np.random.default_rng(49)
+        raw = [ginibre_state(3, rng).matrix for _ in range(5)] + [random_pure_state(3, rng).matrix]
+        counts = self.count_matrices(monkeypatch)
+        # one call validates the states, and one decomposes the mixtures unless alpha = 2
+        calls = 1 + (alpha != 2.0)
+        qjd_alpha(raw[0], raw[1], alpha)
+        assert counts == self.expected(calls, 2, 1, alpha)
+        counts.update(calls=0, eigh=0, eigvalsh=0)
+        divergence_matrix(raw, alpha)
+        assert counts == self.expected(calls, 6, 15, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_state_objects(self, monkeypatch, alpha):
+        # objects skip validation: their spectra come from one call, and only when needed
+        rng = np.random.default_rng(50)
+        states = [ginibre_state(3, rng) for _ in range(5)]
+        calls, spectra = (0, 0) if alpha == 2.0 else (2, 5)
+        counts = self.count_matrices(monkeypatch)
+        divergence_matrix(states, alpha)
+        assert counts == self.expected(calls, spectra, 10, alpha)
+        counts.update(calls=0, eigh=0, eigvalsh=0)
+        qjd_alpha_general(weighted_family(states, np.full(5, 0.2)), alpha)
+        assert counts == self.expected(calls, spectra, 1, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_raw_objects_and_both_give_one_matrix(self, alpha):
+        rng = np.random.default_rng(51)
+        # a trace off by 1e-10 is divided out on validation
+        raw = [ginibre_state(d, rng).matrix * (1.0 + 1e-10) for d in [3] * 6]
+        raw += [random_pure_state(3, rng).matrix for _ in range(2)]
+        objects = [validate_density(x) for x in raw]
+        both = [o if i % 2 else x for i, (x, o) in enumerate(zip(raw, objects))]
+        D = divergence_matrix(raw, alpha).d
+        assert np.array_equal(divergence_matrix(objects, alpha).d, D)
+        assert np.array_equal(divergence_matrix(both, alpha).d, D)
+        assert qjd_alpha(both[2], both[3], alpha).value == D[2, 3]
+
+
+class TestRelativeEntropyKernel:
+    """D(rho||sigma) from rho's eigenvalues and sigma's eigenpairs."""
+
+    @staticmethod
+    def by_matrix_logs(r: np.ndarray, s: np.ndarray) -> float:
+        (wr, Vr), (ws, Vs) = np.linalg.eigh(r), np.linalg.eigh(s)
+        log = lambda w, V: (V * np.log(w)) @ V.conj().T
+        return float(np.trace(r @ (log(wr, Vr) - log(ws, Vs))).real)
+
+    def test_full_rank_pairs_match_matrix_logs(self):
+        rng = np.random.default_rng(52)
+        for d in (2, 3, 4):
+            for _ in range(5):
+                r, s = ginibre_state(d, rng).matrix, ginibre_state(d, rng).matrix
+                assert relative_entropy(r, s) == pytest.approx(self.by_matrix_logs(r, s), abs=1e-12)
+
+    def test_q_redundancy_is_the_mean_relative_entropy(self):
+        rng = np.random.default_rng(53)
+        fam = weighted_family([ginibre_state(3, rng) for _ in range(4)], [0.1, 0.2, 0.3, 0.4])
+        sigma = ginibre_state(3, rng)
+        expected = sum(
+            w * relative_entropy(m, sigma) for w, m in zip(fam.weights.probs, fam.members)
+        )
+        assert q_redundancy(fam, sigma) == pytest.approx(expected, abs=1e-14)
+
+    def test_support_rule_is_the_weight_on_the_null_space(self):
+        # sigma = |u><u| in a random basis; rho puts weight eps on the null space of sigma
+        rng = np.random.default_rng(54)
+        U = random_unitary(2, rng)
+        sigma = U @ np.diag([1.0, 0.0]) @ U.conj().T
+        for eps, finite in ((1e-11, True), (1e-9, False)):
+            rho = U @ np.diag([1.0 - eps, eps]) @ U.conj().T
+            assert math.isfinite(relative_entropy(rho, sigma)) is finite
