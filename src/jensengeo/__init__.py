@@ -6,9 +6,12 @@ is safe. The one value that memoizes is a ``DistanceMatrix``: it keeps
 its centred eigenpairs, checks them against its entries before each
 use, and two threads that both write them store the same result.
 Results are deterministic for a given input and numpy build, and each
-entry of a divergence matrix equals the scalar call on its pair. The
-kernel takes a state's eigenvalues from the ``eigvalsh`` call that
-validated it, and evaluates order 2 in closed form, as
+entry of a divergence matrix equals the scalar call on its pair. Each
+state has one spectrum, the ascending eigenvalues of the ``eigvalsh``
+call that validated it, which a ``DensityMatrix`` keeps. The kernel and
+``alpha_entropy_q`` both sum it in that ascending order, so
+``alpha_entropy_q`` can differ by an ulp or two from a sum in
+descending order. The kernel evaluates order 2 in closed form, as
 sum_j w_j ||x_j - mixture||^2, without spectra. So a value can differ
 in its last bits from a spectral evaluation of the same formula (on
 random states, by up to about 1e-14 at order 1 and 1e-15 at order 2).

@@ -101,7 +101,8 @@ def _validate_distributions(P: np.ndarray) -> np.ndarray:
     Returns the rows with entries in (-NEG_CLIP, 0) set to zero and each
     row whose total is within SUM_TOL of 1 (but not 1) divided by it.
     Where several rows fail, the first check that any row fails is
-    reported, for the first row that fails it.
+    reported, for the first row that fails it. A total that overflows
+    reads inf and is refused.
     """
     if not np.isfinite(P).all():
         raise ValueError("distribution entries must be finite")
@@ -109,7 +110,8 @@ def _validate_distributions(P: np.ndarray) -> np.ndarray:
         row = P[np.argmax((P < -NEG_CLIP).any(axis=-1))]
         raise ValueError(f"negative probability below tolerance: min = {row.min()}")
     P = np.where(P < 0.0, 0.0, P)
-    totals = P.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        totals = P.sum(axis=-1, keepdims=True)
     dev = np.abs(totals - 1.0)
     if dev.max() > SUM_TOL:
         total = float(totals[np.argmax(dev > SUM_TOL), 0])

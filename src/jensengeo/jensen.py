@@ -26,11 +26,9 @@ from .classical import (
 from .quantum import (
     EIG_FLOOR,
     DensityMatrix,
-    _clipped,
     _density_stack,
     _is_state,
     _relative_entropies,
-    _spectra,
     as_density,
     density_to_json,
     relative_entropy,
@@ -142,8 +140,8 @@ def _gaps(
 
     ``X`` stacks the points, distributions as (N, n) or states as
     (N, d, d); row r of ``index`` (R, k) picks the members of family r and
-    row r of ``weights`` (R, k) their weights. For states, ``wx`` holds
-    the eigenvalues that ``_density_stack`` returned with X. Returns, for
+    row r of ``weights`` (R, k) their weights. States need ``wx``, the
+    (N, d) eigenvalues that ``_density_stack`` returned with X. Returns, for
     every r, S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]), and the dual
     residuals (None away from order 1).
 
@@ -152,16 +150,17 @@ def _gaps(
       the gap is sum_j w_rj ||X[index_rj] - mixture_r||^2 (Euclidean, or
       Hilbert-Schmidt over the complex entries), nonnegative as computed.
     - other orders: the mixtures, in one stacked ``eigvalsh``. The
-      points' eigenvalues are taken from ``wx``; the points it lacks
-      (NaN rows, or all when it is None) take one stacked ``eigvalsh``.
+      points' eigenvalues are ``wx``, and are not decomposed again.
     - order 1: the mixtures by ``eigh`` instead, as each gap is checked
       against the averaged relative entropy
       sum_j w_rj D(X[index_rj] || mixture_r), which needs the members'
       eigenvalues and the mixtures' eigenpairs. The residuals are
       |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
       DUAL_TOL_QUANTUM raises ArithmeticError.
-    The entropy-difference gaps are nonnegative by concavity, so float
-    noise below zero (and -0.0) is returned as 0.0.
+    Eigenvalues <= 0 (float noise, as points and mixtures below EIG_FLOOR
+    are refused) add nothing to either form. The entropy-difference gaps are
+    nonnegative by concavity, so float noise below zero (and -0.0) is
+    returned as 0.0.
     """
     quantum = X.ndim == 3
     members = X[index]
@@ -174,11 +173,9 @@ def _gaps(
         sq *= sq
         return (weights * sq.reshape(weights.shape + (-1,)).sum(axis=-1)).sum(axis=-1), None
     if quantum:
-        wx = _spectra(X, wx)
         wm, Vm = np.linalg.eigh(mix) if a == 1.0 else (np.linalg.eigvalsh(mix), None)
         if wm.min() < EIG_FLOOR:
             raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
-        wx, wm = _clipped(wx), _clipped(wm)
     else:
         wx, wm = X, mix
     gaps = _entropies(wm, a) - (weights * _entropies(wx, a)[index]).sum(axis=-1)
@@ -216,15 +213,17 @@ def weighted_family(members, weights, kind: str | None = None) -> WeightedFamily
     w = as_distribution(weights)
     if len(w) != len(members):
         raise ValueError(f"{len(members)} members but {len(w)} weights")
-    kind, X, _, labels = _validated_stack(members, kind)
+    kind, X, wx, labels = _validated_stack(members, kind)
 
-    def point(m, x, lab):
+    def point(i, m):
         # members that were Distribution or DensityMatrix objects already are kept as they are
         if isinstance(m, (Distribution, DensityMatrix)):
             return m
-        return DensityMatrix(matrix=x) if kind == "quantum" else Distribution(probs=x, labels=lab)
+        if kind == "quantum":
+            return DensityMatrix(matrix=X[i], eigenvalues=wx[i])
+        return Distribution(probs=X[i], labels=labels[i])
 
-    return WeightedFamily(members=tuple(map(point, members, X, labels)), weights=w, kind=kind)
+    return WeightedFamily(members=tuple(map(point, range(len(X)), members)), weights=w, kind=kind)
 
 
 def family_from_json(obj: dict) -> WeightedFamily:
@@ -274,7 +273,7 @@ def _divergence(
 ) -> DivergenceResult:
     """The order-alpha gap of one family whose validated members ``X`` stacks, through ``_gaps``.
 
-    ``wx`` is passed on to ``_gaps``: the eigenvalues of states found by validation.
+    ``wx`` is passed on to ``_gaps``: the eigenvalues of the states, which states need.
     """
     a = check_alpha(alpha)
     values, residuals = _gaps(X, np.arange(len(X))[None], weights[None], a, wx)
@@ -361,7 +360,7 @@ def q_redundancy(fam: WeightedFamily, sigma) -> float:
     _require_kind(fam, "quantum")
     X, w = _stack(fam, sigma)
     ws, Vs = np.linalg.eigh(X[-1])
-    d = _relative_entropies(_spectra(X[:-1], w[:-1]), X[:-1], ws, Vs)
+    d = _relative_entropies(w[:-1], X[:-1], ws, Vs)
     return float(_weighted_mean(fam.weights.probs, d))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,14 +43,29 @@ HERM_TOL = 1e-10      # max |A - A^dagger| accepted before symmetrization
 TRACE_TOL = 1e-9      # |tr - 1| above this is a hard error
 EIG_FLOOR = -1e-8     # eigenvalues below this mean a genuinely non-PSD input
 PURITY_TOL = 1e-9     # rank-1 test: largest eigenvalue >= 1 - PURITY_TOL
-SUPPORT_TOL = 1e-10   # eigenvalues <= this count as the null space
+SUPPORT_TOL = 1e-10   # sigma's eigenvalues <= this are its null space in S(rho||sigma)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian, unit-trace, PSD (up to tolerance) complex matrix."""
+    """A Hermitian, unit-trace, PSD (up to tolerance) complex matrix.
+
+    ``eigenvalues`` (ascending, read-only) are the ones its validation
+    found, which the entropies, ``spectrum``, ``is_pure`` and the kernels
+    read; one built by hand (not validated) takes them from one
+    ``eigvalsh``. Writing into ``matrix``
+    bypasses validation and leaves them stale, as does
+    ``dataclasses.replace`` with a new matrix.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.linalg.eigvalsh(self.matrix) if self.eigenvalues is None else self.eigenvalues
+        w = np.asarray(w).view()  # read-only without freezing the caller's array
+        w.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self) -> int:
@@ -70,10 +85,11 @@ def validate_density(raw) -> DensityMatrix:
 
     Symmetrizes (A + A^dagger)/2 when the Hermitian asymmetry is within
     1e-10, normalizes a trace within 1e-9 of 1, and rejects matrices with
-    an eigenvalue below -1e-8. Smaller negative eigenvalues are kept and
-    clipped to zero only when entropic quantities are evaluated.
+    an eigenvalue below -1e-8; the state keeps the eigenvalues, and the
+    negative ones contribute nothing to entropic quantities.
     """
-    return DensityMatrix(matrix=_validate_densities(_density_array(raw)[None])[0][0])
+    A, w = _validate_densities(_density_array(raw)[None])
+    return DensityMatrix(matrix=A[0], eigenvalues=w[0])
 
 
 def _density_array(raw) -> np.ndarray:
@@ -99,22 +115,24 @@ def _validate_densities(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the one stacked ``eigvalsh`` that finds the smallest eigenvalues
     serves the divergence kernels too. Where several matrices fail, the
     first check that any matrix fails is reported, for the first matrix
-    that fails it.
+    that fails it. Halves are added, so symmetrizing cannot overflow, and
+    an asymmetry or trace that overflows (inf, or NaN) fails its check.
     """
     if not np.isfinite(A).all():
         raise ValueError("density matrix entries must be finite")
     AH = np.swapaxes(A.conj(), -1, -2)
-    asym = np.abs(A - AH)
-    if asym.max() > HERM_TOL:
-        worst = asym.max(axis=(-2, -1))
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {worst[np.argmax(worst > HERM_TOL)]:.3e}"
-        )
-    A = (A + AH) / 2.0
-    tr = A.diagonal(0, -2, -1).sum(axis=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(A - AH)
+        if asym.max() > HERM_TOL:
+            worst = asym.max(axis=(-2, -1))
+            raise ValueError(
+                f"matrix is not Hermitian: max asymmetry {worst[np.argmax(worst > HERM_TOL)]:.3e}"
+            )
+        A = A / 2.0 + AH / 2.0
+        tr = A.diagonal(0, -2, -1).sum(axis=-1).real
     dev = np.abs(tr - 1.0)
-    if dev.max() > TRACE_TOL:
-        raise ValueError(f"trace is {float(tr[np.argmax(dev > TRACE_TOL)])}, not 1")
+    if not dev.max() <= TRACE_TOL:
+        raise ValueError(f"trace is {float(tr[np.argmax(~(dev <= TRACE_TOL))])}, not 1")
     np.divide(A, tr[:, None, None], out=A, where=(dev != 0.0)[:, None, None])
     w = np.linalg.eigvalsh(A)
     w_min = w[:, 0]
@@ -132,9 +150,8 @@ def _density_stack(points) -> tuple[np.ndarray, np.ndarray]:
     DensityMatrix objects pass through; every other point is parsed (a
     wire-format mapping to its matrix) and shape-checked, and then the
     value checks of ``_validate_densities`` run once, over all of them.
-    Returns the (N, d, d) stack and the (N, d) ascending eigenvalues that
-    validation computed; the rows of DensityMatrix objects, which skip
-    validation, are NaN there (``_spectra`` fills them when needed).
+    Returns the (N, d, d) stack and the (N, d) ascending eigenvalues, of
+    validation or stored in the objects.
     """
     arrays = [
         p.matrix
@@ -146,26 +163,13 @@ def _density_stack(points) -> tuple[np.ndarray, np.ndarray]:
     X = _stack_points(arrays, "dimension")
     if len(raw) == len(X):
         return _validate_densities(X)
-    w = np.full(X.shape[:2], math.nan)
+    w = np.empty(X.shape[:2])
+    for i, p in enumerate(points):
+        if isinstance(p, DensityMatrix):
+            w[i] = p.eigenvalues
     if raw:
         X[raw], w[raw] = _validate_densities(X[raw])
     return X, w
-
-
-def _spectra(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """The ascending eigenvalues of the states X, given those ``_density_stack`` found.
-
-    Rows of ``w`` that validation computed are kept; the NaN rows (all
-    rows when ``w`` is None) come from one stacked ``eigvalsh`` over
-    those states.
-    """
-    if w is None:
-        return np.linalg.eigvalsh(X)
-    missing = np.isnan(w[:, 0])
-    if missing.any():
-        w = w.copy()
-        w[missing] = np.linalg.eigvalsh(X[missing])
-    return w
 
 
 def as_density(obj) -> DensityMatrix:
@@ -218,24 +222,13 @@ def _json_matrix(obj: dict) -> np.ndarray:
 
 
 def spectrum(rho, with_vectors: bool = False) -> Spectrum:
-    """Hermitian eigendecomposition, eigenvalues sorted descending."""
-    A = as_density(rho).matrix
+    """Hermitian eigendecomposition, eigenvalues sorted descending (a copy of the stored ones)."""
+    state = as_density(rho)
     if with_vectors:
-        w, V = np.linalg.eigh(A)
+        w, V = np.linalg.eigh(state.matrix)
         order = np.argsort(w)[::-1]
         return Spectrum(eigenvalues=w[order], eigenvectors=V[:, order])
-    w = np.linalg.eigvalsh(A)
-    return Spectrum(eigenvalues=w[::-1])
-
-
-def _clipped(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues with every negative one set to zero.
-
-    Validation accepts eigenvalues down to EIG_FLOOR (-1e-8), and
-    ``jensen._gaps`` refuses mixtures below it, so all the negatives met
-    here are taken as float noise of a PSD matrix.
-    """
-    return np.where(w < 0.0, 0.0, w)
+    return Spectrum(eigenvalues=state.eigenvalues[::-1].copy())
 
 
 def von_neumann_entropy(rho) -> float:
@@ -246,11 +239,11 @@ def von_neumann_entropy(rho) -> float:
 def alpha_entropy_q(rho, alpha: float) -> float:
     """Order-alpha entropy (1 - Tr rho^alpha) / (alpha - 1); alpha = 1 is von Neumann.
 
-    Evaluated on the spectrum in the cancellation-free form of
-    ``alpha_entropy``, so it stays accurate near alpha = 1.
+    Evaluated on the stored (ascending) spectrum in the cancellation-free
+    form of ``alpha_entropy``, so it stays accurate near alpha = 1.
     """
     a = check_alpha(alpha)
-    return float(_entropies(_clipped(spectrum(rho).eigenvalues), a))
+    return float(_entropies(as_density(rho).eigenvalues, a))
 
 
 def _relative_entropies(wr, R, ws, Vs) -> np.ndarray:
@@ -258,9 +251,10 @@ def _relative_entropies(wr, R, ws, Vs) -> np.ndarray:
 
     Broadcasts over leading axes. The form
     sum_k r_k ln r_k - sum_l <sigma_l|rho|sigma_l> ln s_l needs no
-    eigenvectors of rho. Eigenvalues <= SUPPORT_TOL (1e-10) count as 0.
-    +inf where rho puts weight Tr rho Pi > 1e-10 on the null space of
-    sigma (Pi projects onto its eigenvectors with eigenvalues <= 1e-10).
+    eigenvectors of rho; r_k <= 0 add nothing, as in the kernel. +inf
+    where rho puts weight Tr rho Pi > 1e-10 on sigma's null space (Pi
+    projects onto its eigenvectors with eigenvalues <= SUPPORT_TOL);
+    otherwise floored at 0 (Klein's inequality).
     """
     # diag[..., l] = <sigma_l|rho|sigma_l>. U holds sigma's eigenvectors as contiguous rows,
     # so that einsum's inner loop runs along contiguous memory.
@@ -268,9 +262,9 @@ def _relative_entropies(wr, R, ws, Vs) -> np.ndarray:
     diag = np.einsum("...lk,...km,...lm->...l", U.conj(), R, U).real
     null = ws <= SUPPORT_TOL
     escape = (diag * null).sum(axis=-1) > SUPPORT_TOL
-    tr_rho_ln_rho = -_entropies(np.where(wr > SUPPORT_TOL, wr, 0.0), 1.0)
     tr_rho_ln_sigma = (diag * np.log(np.where(null, 1.0, ws))).sum(axis=-1)
-    return np.where(escape, math.inf, tr_rho_ln_rho - tr_rho_ln_sigma)
+    d = -_entropies(wr, 1.0) - tr_rho_ln_sigma
+    return np.where(escape, math.inf, np.where(d <= 0.0, 0.0, d))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -279,11 +273,11 @@ def relative_entropy(rho, sigma) -> float:
     Returns +inf when the support of rho is not contained in the support
     of sigma: when rho puts weight Tr rho Pi > 1e-10 on the null space of
     sigma, Pi being the projector onto the eigenvectors of sigma with
-    eigenvalues <= 1e-10.
+    eigenvalues <= 1e-10. Every eigenvalue of rho > 0 counts.
     """
     X, w = _density_stack((rho, sigma))
     ws, Vs = np.linalg.eigh(X[1])
-    return float(_relative_entropies(_spectra(X[:1], w[:1])[0], X[0], ws, Vs))
+    return float(_relative_entropies(w[0], X[0], ws, Vs))
 
 
 def trace_distance(rho, sigma) -> float:
@@ -306,7 +300,7 @@ def purity(rho) -> float:
 
 def is_pure(rho) -> bool:
     """Rank-1 test: largest eigenvalue within 1e-9 of 1."""
-    return float(spectrum(rho).eigenvalues[0]) >= 1.0 - PURITY_TOL
+    return float(as_density(rho).eigenvalues[-1]) >= 1.0 - PURITY_TOL
 
 
 def qubit_mixture_eigenvalues(rho) -> tuple[float, float]:

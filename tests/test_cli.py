@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import jensengeo
@@ -596,10 +596,14 @@ class TestFuzzedInputs:
             ["cayley-menger", "--matrix", f"[[0, {10**400}], [1, 0]]"],
             ["check-negative-type", "--matrix", '{"d": [[0]], "n": []}'],
             ["embed", "--matrix", '{"d": [[0, 1], [1, 0]], "labels": 5}'],
+            # finite entries whose totals or symmetrized entries overflow
+            ["qjd", "--rho1", "[[1e308, 0], [0, -1e308]]", "--rho2", "[[1, 0], [0, 0]]"],
+            ["qjd", "--rho1", "[[0, 1.7e308], [-1.7e308, 0]]", "--rho2", "[[1, 0], [0, 0]]"],
+            ["jd", "--p", "[0, 0, 1]", "--q", "[0, 8.988465674311579e307, 8.98846567431158e307]"],
         ],
     )
     def test_found_by_fuzzing(self, argv):
-        # integers too large for a float, and mapping fields of the wrong type
+        # integers too large for a float, mapping fields of the wrong type, and overflows
         code, err = _run_quietly(argv)
         assert code == EXIT_VALIDATION
         assert "error" in json.loads(err)
@@ -625,6 +629,7 @@ class TestFuzzedInputs:
         _assert_documented_outcome(*_run_quietly([command, "--points-file", str(path)]))
 
     @given(st.sampled_from(_CSV_FILES), _csv_file, _csv_file)
+    @example(_CSV_FILES[0], "0,0,0", "0,8.988465674311579e+307,8.98846567431158e+307")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_csv_files(self, tmp_path_factory, template, x, y):
         base = tmp_path_factory.getbasetemp()

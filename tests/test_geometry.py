@@ -195,40 +195,26 @@ class TestNegativeType:
 class TestCentredEigenpairsShared:
     """negative_type_check and embed on one DistanceMatrix share one eigendecomposition."""
 
-    @staticmethod
-    def count_eigh(monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
-
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_one_eigh_for_check_then_embed(self, monkeypatch, alpha):
+    def test_one_eigh_for_check_then_embed(self, decompositions, alpha):
         rng = np.random.default_rng(44)
         dm = divergence_matrix([random_distribution(4, rng) for _ in range(9)], alpha)
-        calls = self.count_eigh(monkeypatch)
         report = negative_type_check(dm)
         emb = embed(dm)
-        assert len(calls) == 1
+        assert decompositions["eigh"] == 1
         assert report.is_negative_type
         again = embed(dm.d.copy())
-        assert len(calls) == 2
+        assert decompositions["eigh"] == 2
         assert np.array_equal(emb.coords, again.coords)
         assert emb.reconstruction_error == again.reconstruction_error
 
-    def test_report_follows_the_tolerance_of_each_call(self, monkeypatch):
+    def test_report_follows_the_tolerance_of_each_call(self, monkeypatch, decompositions):
         dm = jd_matrix_of_triple(2.5)
-        calls = self.count_eigh(monkeypatch)
         assert not negative_type_check(dm, tol=1e-12).is_negative_type
         assert negative_type_check(dm, tol=10.0).is_negative_type
         monkeypatch.setenv("JG_TOLERANCE_SCALE", "1e12")
         assert negative_type_check(dm).is_negative_type
-        assert len(calls) == 1
+        assert decompositions["eigh"] == 1
 
     def test_in_place_writes_are_seen(self):
         rng = np.random.default_rng(45)

@@ -30,12 +30,17 @@ from jensengeo.jensen import (
     weighted_family,
 )
 from jensengeo.quantum import (
+    alpha_entropy_q,
     ginibre_state,
     hs_distance_sq,
+    is_pure,
+    pure_overlap_eigenvalues,
     random_pure_state,
     random_unitary,
     relative_entropy,
+    spectrum,
     validate_density,
+    von_neumann_entropy,
 )
 
 LN2 = math.log(2.0)
@@ -511,19 +516,6 @@ class TestSpectraTakenOnce:
     """Each state is decomposed once, by the eigvalsh that validates it, and each mixture once."""
 
     @staticmethod
-    def count_matrices(monkeypatch):
-        counts = {"calls": 0, "eigh": 0, "eigvalsh": 0}
-        for name in ("eigh", "eigvalsh"):
-
-            def counted(A, *args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
-                counts["calls"] += 1
-                counts[_name] += int(np.prod(np.shape(A)[:-2]))
-                return _solver(A, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return counts
-
-    @staticmethod
     def expected(calls: int, states: int, mixtures: int, alpha: float) -> dict:
         mixtures *= alpha != 2.0
         return {
@@ -533,30 +525,61 @@ class TestSpectraTakenOnce:
         }
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_raw_states(self, monkeypatch, alpha):
+    def test_raw_states(self, decompositions, alpha):
         rng = np.random.default_rng(49)
         raw = [ginibre_state(3, rng).matrix for _ in range(5)] + [random_pure_state(3, rng).matrix]
-        counts = self.count_matrices(monkeypatch)
+        decompositions.reset()
         # one call validates the states, and one decomposes the mixtures unless alpha = 2
         calls = 1 + (alpha != 2.0)
         qjd_alpha(raw[0], raw[1], alpha)
-        assert counts == self.expected(calls, 2, 1, alpha)
-        counts.update(calls=0, eigh=0, eigvalsh=0)
+        assert decompositions == self.expected(calls, 2, 1, alpha)
+        decompositions.reset()
         divergence_matrix(raw, alpha)
-        assert counts == self.expected(calls, 6, 15, alpha)
+        assert decompositions == self.expected(calls, 6, 15, alpha)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_state_objects(self, monkeypatch, alpha):
-        # objects skip validation: their spectra come from one call, and only when needed
+    def test_state_objects(self, decompositions, alpha):
+        # objects keep the spectra that validated them: only the mixtures are decomposed
         rng = np.random.default_rng(50)
         states = [ginibre_state(3, rng) for _ in range(5)]
-        calls, spectra = (0, 0) if alpha == 2.0 else (2, 5)
-        counts = self.count_matrices(monkeypatch)
+        calls = int(alpha != 2.0)
+        decompositions.reset()
         divergence_matrix(states, alpha)
-        assert counts == self.expected(calls, spectra, 10, alpha)
-        counts.update(calls=0, eigh=0, eigvalsh=0)
+        assert decompositions == self.expected(calls, 0, 10, alpha)
+        decompositions.reset()
         qjd_alpha_general(weighted_family(states, np.full(5, 0.2)), alpha)
-        assert counts == self.expected(calls, spectra, 1, alpha)
+        assert decompositions == self.expected(calls, 0, 1, alpha)
+
+    # matrices decomposed by one call: raw states take the eigvalsh that validates them,
+    # DensityMatrix objects none, and sigma of a relative entropy one eigh more
+    PER_CALL = {
+        "alpha_entropy_q": (1, lambda s: alpha_entropy_q(s["raw"], 1.5)),
+        "von_neumann_entropy": (1, lambda s: von_neumann_entropy(s["raw"])),
+        "spectrum": (1, lambda s: spectrum(s["raw"])),
+        "is_pure": (1, lambda s: is_pure(s["raw"])),
+        "pure_overlap_eigenvalues": (2, lambda s: pure_overlap_eigenvalues(*s["pure"])),
+        "qjd_alpha_general": (1, lambda s: qjd_alpha_general(s["family"], 1.5)),
+        "qjd_general": (1, lambda s: qjd_general(s["family"])),
+        "holevo_bound": (1, lambda s: holevo_bound(s["family"])),
+        "divergence_matrix": (6, lambda s: divergence_matrix(s["objects"], 1.5)),
+        "donald_residual": (5, lambda s: donald_residual(s["family"], s["raw"])),
+        "relative_entropy": (3, lambda s: relative_entropy(s["raw"], s["pure"][0])),
+    }
+
+    @pytest.mark.parametrize("name", list(PER_CALL))
+    def test_matrices_per_call(self, decompositions, name):
+        rng = np.random.default_rng(55)
+        objects = [ginibre_state(3, rng) for _ in range(4)]
+        states = {
+            "raw": ginibre_state(3, rng).matrix,
+            "pure": [random_pure_state(3, rng).matrix for _ in range(2)],
+            "objects": objects,
+            "family": weighted_family(objects, [0.1, 0.2, 0.3, 0.4]),
+        }
+        matrices, call = self.PER_CALL[name]
+        decompositions.reset()
+        call(states)
+        assert decompositions.matrices == matrices
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_raw_objects_and_both_give_one_matrix(self, alpha):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jensengeo.classical import alpha_entropy, kl_divergence, shannon_entropy, total_variation
+from jensengeo.jensen import qjd_alpha
 from jensengeo.quantum import (
+    DensityMatrix,
     alpha_entropy_q,
     as_density,
     density_from_json,
@@ -97,6 +99,62 @@ class TestValidateDensity:
 
     def test_json_dim_may_be_a_numpy_integer(self):
         assert density_from_json({"dim": np.int64(2), "entries": HALF}).dim == 2
+
+    @pytest.mark.parametrize(
+        "A, message",
+        [
+            # the trace is 0 and the symmetrized entries stay finite
+            ([[1e308, 0], [0, -1e308]], "trace is 0.0"),
+            ([[1e308, 0], [0, 1e308]], "trace is inf"),
+            # inf + (-inf) in the trace's pairwise sum
+            (np.diag([1e308, 1e308, -1e308, -1e308]), "trace is nan"),
+            # (A + A^dagger) / 2 would overflow the off-diagonal entries to inf
+            ([[0.5, 1e308], [1e308, 0.5]], "positive semidefinite"),
+            # the asymmetry A - A^dagger overflows
+            ([[0, 1.7e308], [-1.7e308, 0]], "max asymmetry inf"),
+        ],
+    )
+    def test_entries_near_the_float_range_are_refused(self, A, message):
+        with pytest.raises(ValueError, match=message):
+            validate_density(A)
+
+    def test_keeps_the_eigenvalues_that_validated_it(self):
+        A = np.diag([0.25, 0.75]).astype(complex)
+        rho = validate_density(A)
+        assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(A))
+        assert not rho.eigenvalues.flags.writeable
+
+
+class TestHandBuiltDensityMatrix:
+    """A DensityMatrix built from a matrix takes its spectrum from one eigvalsh."""
+
+    def test_one_call_gives_its_eigenvalues(self, decompositions):
+        A = np.diag([0.25, 0.75]).astype(complex)
+        rho = DensityMatrix(matrix=A)
+        assert decompositions == {"calls": 1, "eigh": 0, "eigvalsh": 1}
+        assert np.array_equal(rho.eigenvalues, [0.25, 0.75])
+        von_neumann_entropy(rho), is_pure(rho), spectrum(rho)
+        assert decompositions["calls"] == 1
+
+    def test_stored_eigenvalues_are_read_only(self):
+        w = np.array([0.25, 0.75])
+        rho = DensityMatrix(matrix=np.diag(w), eigenvalues=w)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.eigenvalues[0] = 9.0
+        # the caller's array is not frozen
+        w[0] = 0.5
+        assert w.flags.writeable
+
+    def test_spectrum_is_a_copy(self):
+        rho = DensityMatrix(matrix=np.diag([0.25, 0.75]))
+        sp = spectrum(rho)
+        assert np.array_equal(sp.eigenvalues, [0.75, 0.25])
+        sp.eigenvalues[0] = 9.0
+        assert np.array_equal(rho.eigenvalues, [0.25, 0.75])
+
+    def test_repr_shows_only_the_matrix(self):
+        A = np.diag([0.25, 0.75])
+        assert repr(DensityMatrix(matrix=A)) == f"DensityMatrix(matrix={A!r})"
 
 
 class TestSpectrum:
@@ -196,6 +254,16 @@ class TestRelativeEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             relative_entropy(MAX_MIXED, np.eye(3) / 3.0)
+
+    def test_leak_below_the_support_threshold_is_not_negative(self):
+        # rho's eigenvalue 1e-11 counts in Tr rho ln rho, so the value is floored at 0
+        assert relative_entropy(np.diag([1.0 - 1e-11, 1e-11]), np.diag([1.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10, 2e-10])
+    def test_small_eigenvalues_count_alike_in_both_forms(self, eps):
+        # the entropy difference and the averaged relative entropy see rho's eigenvalue eps alike
+        result = qjd_alpha(np.diag([1.0 - eps, eps]), MAX_MIXED, 1.0)
+        assert result.dual_residual < 1e-15
 
     def test_random_commuting_pairs(self):
         rng = np.random.default_rng(31)
