@@ -54,15 +54,16 @@ class Distribution:
 def as_distribution(p) -> Distribution:
     """Validate and coerce a probability vector.
 
-    Accepts a ``Distribution``, a sequence of floats, or a mapping with
-    key ``"probs"`` (and optionally ``"labels"``). Entries in
+    Accepts a ``Distribution`` (returned as it is), a sequence of floats,
+    or a mapping with key ``"probs"`` (and optionally ``"labels"``): the
+    one-point case of ``_distribution_stack``. Entries in
     (-1e-12, 0) are clipped to zero; the vector is renormalized when its
     total deviates from 1 by at most 1e-9, and rejected beyond that.
     """
     if isinstance(p, Distribution):
         return p
-    probs, labels = _distribution_array(p)
-    return Distribution(probs=_validate_distributions(probs[None])[0], labels=labels)
+    X, labels = _distribution_stack((p,))
+    return Distribution(probs=X[0], labels=labels[0])
 
 
 def _distribution_array(p) -> tuple[np.ndarray, tuple | None]:

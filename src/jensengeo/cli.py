@@ -125,10 +125,7 @@ def _add_input(sub, name: str, help_: str) -> None:
 
 
 def _family(args) -> jensen.WeightedFamily:
-    obj = _load_input(args, "family")
-    if not isinstance(obj, dict):
-        raise CliError('family must be {"weights": [...], "members": [...], "kind": ...}')
-    return jensen.family_from_json(obj)
+    return jensen.family_from_json(_load_input(args, "family"))
 
 
 def _points(obj) -> list:
@@ -137,7 +134,7 @@ def _points(obj) -> list:
         obj = obj["members"]
     if not isinstance(obj, list) or len(obj) < 2:
         raise CliError("points input must be a JSON list of at least two members")
-    size = max(_point_entries(p) for p in obj)
+    size = max(quantum._point_size(p) for p in obj)
     entries = len(obj) * (len(obj) - 1) // 2 * size
     if entries > POINTS_MAX_ENTRIES:
         raise CliError(
@@ -145,15 +142,6 @@ def _points(obj) -> list:
             f"above the cap of {POINTS_MAX_ENTRIES}"
         )
     return obj
-
-
-def _point_entries(point) -> int:
-    """Entries of one raw point: n for a distribution, d^2 for a d x d state."""
-    if isinstance(point, dict):
-        point = point.get("entries", point.get("probs"))
-    if not isinstance(point, list):
-        return 1
-    return len(point) ** 2 if point and isinstance(point[0], list) else len(point)
 
 
 def build_parser() -> _Parser:
@@ -297,20 +285,19 @@ def _cmd_redundancy(args):
 
 def _cmd_identities(args):
     fam = _family(args)
-    scale = tolerance_scale()
-    if fam.kind == "classical":
+    classical = fam.kind == "classical"
+    other = "sigma" if classical else "q"
+    if _load_input(args, other, required=False) is not None:
+        raise CliError(f"--{other} does not apply to a {fam.kind} family")
+    if classical:
+        identity, tol = "compensation", jensen.DUAL_TOL_CLASSICAL
         residual = jensen.compensation_residual(fam, _vector(args, "q"))
-        tol = 1e-10 * scale
-        return {
-            "identity": "compensation",
-            "residual": residual,
-            "tolerance": tol,
-            "within_tolerance": residual <= tol,
-        }
-    residual = jensen.donald_residual(fam, _load_input(args, "sigma"))
-    tol = 1e-9 * scale
+    else:
+        identity, tol = "donald", jensen.DUAL_TOL_QUANTUM
+        residual = jensen.donald_residual(fam, _load_input(args, "sigma"))
+    tol *= tolerance_scale()
     return {
-        "identity": "donald",
+        "identity": identity,
         "residual": residual,
         "tolerance": tol,
         "within_tolerance": residual <= tol,

@@ -95,15 +95,17 @@ def _validated_stack(
 ) -> tuple[str, np.ndarray, np.ndarray | None, list]:
     """Validate points as all distributions of one length or all states of one dimension.
 
-    ``kind`` ("classical" or "quantum") says which; by default the first
-    point decides. The points are validated in one call of that kind's
-    ``_distribution_stack`` or ``_density_stack``. Returns the kind, the
+    ``kind`` ("classical" or "quantum"; any other is refused) says which; by
+    default the first point decides. The points are validated in one call of
+    that kind's ``_distribution_stack`` or ``_density_stack``. Returns the kind, the
     validated points stacked as (N, n) or (N, d, d), the states'
     eigenvalues as ``_density_stack`` returns them (None for
     distributions), and the labels (None for states).
     """
     if kind is None:
         kind = "quantum" if _is_state(points[0]) else "classical"
+    elif kind not in ("classical", "quantum"):
+        raise ValueError(f'kind must be "classical" or "quantum", got {kind!r}')
     if kind == "quantum":
         return kind, *_density_stack(points), [None] * len(points)
     X, labels = _distribution_stack(points)
@@ -202,11 +204,11 @@ def _gaps(
 def weighted_family(members, weights, kind: str | None = None) -> WeightedFamily:
     """Validate members and weights into a homogeneous weighted family.
 
-    Members must all be classical distributions of one length, or all be
-    density matrices of one dimension; ``kind`` ("classical" or
-    "quantum") requires one of the two, and by default the first member
-    decides. A single member is accepted (the divergence is then
-    trivially zero).
+    Members must all be distributions of one length, or all be states of
+    one dimension, in the forms ``as_distribution`` or ``as_density`` accepts;
+    ``kind`` ("classical" or "quantum"; any other is refused) requires one of
+    the two, and by default the first member decides. A single member is
+    accepted (the divergence is then trivially zero).
     """
     if len(members) < 1:
         raise ValueError("family needs at least one member")
@@ -227,16 +229,16 @@ def weighted_family(members, weights, kind: str | None = None) -> WeightedFamily
 
 
 def family_from_json(obj: dict) -> WeightedFamily:
-    """Wire format: {"weights": [...], "members": [...], "kind": "classical"|"quantum"}."""
-    if "weights" not in obj or "members" not in obj:
+    """Wire format: {"weights": [...], "members": [...], "kind": "classical"|"quantum"}.
+
+    Anything but a mapping with "weights" and a list of "members" is refused.
+    """
+    if not isinstance(obj, dict) or "weights" not in obj or "members" not in obj:
         raise ValueError('family mapping must contain "weights" and "members"')
-    kind = obj.get("kind")
     members = obj["members"]
     if not isinstance(members, list):
         raise ValueError('family "members" must be a list')
-    if kind not in (None, "classical", "quantum"):
-        raise ValueError(f'kind must be "classical" or "quantum", got {kind!r}')
-    return weighted_family(members, obj["weights"], kind)
+    return weighted_family(members, obj["weights"], obj.get("kind"))
 
 
 def family_to_json(fam: WeightedFamily) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import _entropies, _stack_points, check_alpha
+from .classical import _distribution_array, _entropies, _stack_points, check_alpha
 
 __all__ = [
     "DensityMatrix",
@@ -86,14 +86,18 @@ def validate_density(raw) -> DensityMatrix:
     Symmetrizes (A + A^dagger)/2 when the Hermitian asymmetry is within
     1e-10, normalizes a trace within 1e-9 of 1, and rejects matrices with
     an eigenvalue below -1e-8; the state keeps the eigenvalues, and the
-    negative ones contribute nothing to entropic quantities.
+    negative ones contribute nothing to entropic quantities. Accepts a
+    wire-format mapping too: the one-point case of ``_density_stack``.
     """
-    A, w = _validate_densities(_density_array(raw)[None])
-    return DensityMatrix(matrix=A[0], eigenvalues=w[0])
+    X, w = _density_stack((raw,))
+    return DensityMatrix(matrix=X[0], eigenvalues=w[0])
 
 
-def _density_array(raw) -> np.ndarray:
-    """A raw matrix as a square complex array; the values are left to ``_validate_densities``."""
+def _density_point(raw) -> np.ndarray:
+    """A raw matrix or wire-format mapping as a square complex array; the values are left to
+    ``_validate_densities``."""
+    if isinstance(raw, dict):
+        raw = _json_matrix(raw)
     try:
         A = np.asarray(raw, dtype=complex)
     except TypeError:
@@ -153,12 +157,7 @@ def _density_stack(points) -> tuple[np.ndarray, np.ndarray]:
     Returns the (N, d, d) stack and the (N, d) ascending eigenvalues, of
     validation or stored in the objects.
     """
-    arrays = [
-        p.matrix
-        if isinstance(p, DensityMatrix)
-        else _density_array(_json_matrix(p) if isinstance(p, dict) else p)
-        for p in points
-    ]
+    arrays = [p.matrix if isinstance(p, DensityMatrix) else _density_point(p) for p in points]
     raw = [i for i, p in enumerate(points) if not isinstance(p, DensityMatrix)]
     X = _stack_points(arrays, "dimension")
     if len(raw) == len(X):
@@ -173,12 +172,8 @@ def _density_stack(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_density(obj) -> DensityMatrix:
-    """Coerce a DensityMatrix, raw matrix, or JSON-style mapping to a state."""
-    if isinstance(obj, DensityMatrix):
-        return obj
-    if isinstance(obj, dict):
-        return density_from_json(obj)
-    return validate_density(obj)
+    """``validate_density`` of a raw matrix or {"dim", "entries"} mapping; a DensityMatrix as is."""
+    return obj if isinstance(obj, DensityMatrix) else validate_density(obj)
 
 
 def _is_state(obj) -> bool:
@@ -190,6 +185,12 @@ def _is_state(obj) -> bool:
     return np.asarray(obj).ndim == 2
 
 
+def _point_size(point) -> int:
+    """Entries of one raw point, parsed but with no value checked: n for a distribution, d^2 for
+    a d x d state."""
+    return _density_point(point).size if _is_state(point) else _distribution_array(point)[0].size
+
+
 def density_to_json(rho) -> dict:
     """Wire format: {"dim": d, "entries": [[[re, im], ...], ...]}."""
     A = as_density(rho).matrix
@@ -198,7 +199,7 @@ def density_to_json(rho) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
-    return validate_density(_json_matrix(obj))
+    return validate_density(obj)
 
 
 def _json_matrix(obj: dict) -> np.ndarray:
@@ -316,15 +317,16 @@ def pure_overlap_eigenvalues(rho1, rho2) -> tuple[float, float]:
     """Nonzero eigenvalues 1/2 +- sqrt(Tr(rho1 rho2)) / 2 of an even mixture of two pure states.
 
     The remaining d - 2 eigenvalues of (rho1 + rho2) / 2 vanish because the
-    mixture is supported on the span of the two state vectors.
+    mixture is supported on the span of the two state vectors. Without the
+    cancellation of 1/2 - c/2 near c = 1, c^2 = Tr(rho1 rho2) enters as
+    1 - c^2 = ||rho1 - rho2||_HS^2 / 2, and the smaller one is (1 - c^2) / (4 lambda_+).
     """
-    r1 = as_density(rho1)
-    r2 = as_density(rho2)
+    r1, r2 = as_density(rho1), as_density(rho2)
     if not is_pure(r1) or not is_pure(r2):
         raise ValueError("both states must be pure (rank 1)")
-    overlap = max(float(np.trace(r1.matrix @ r2.matrix).real), 0.0)
-    root = math.sqrt(overlap)
-    return (0.5 + root / 2.0, 0.5 - root / 2.0)
+    gap = min(hs_distance_sq(r1, r2) / 2.0, 1.0)
+    upper = 0.5 + math.sqrt(1.0 - gap) / 2.0
+    return (upper, gap / (4.0 * upper))
 
 
 def trace_exp_qubit(rho, t: float) -> float:

@@ -270,6 +270,30 @@ class TestFamilyCommands:
         code, _, _ = invoke(capsys, "identities", "--family", self.QFAMILY, "--sigma", sigma)
         assert code == EXIT_VALIDATION
 
+    def test_identities_gates_are_the_kernel_gates(self, capsys):
+        from jensengeo.jensen import DUAL_TOL_CLASSICAL, DUAL_TOL_QUANTUM
+
+        out = out_json(capsys, "identities", "--family", self.FAMILY, "--q", "[0.5,0.5]")
+        assert out["tolerance"] == DUAL_TOL_CLASSICAL
+        sigma = json.dumps([[0.5, 0.0], [0.0, 0.5]])
+        out = out_json(capsys, "identities", "--family", self.QFAMILY, "--sigma", sigma)
+        assert out["tolerance"] == DUAL_TOL_QUANTUM
+
+    @pytest.mark.parametrize(
+        "family, given, other",
+        [
+            (FAMILY, ["--q", "[0.5,0.5]"], ["--sigma", "[[0.5,0],[0,0.5]]"]),
+            (QFAMILY, ["--sigma", "[[0.5,0],[0,0.5]]"], ["--q", "[0.5,0.5]"]),
+        ],
+    )
+    def test_identities_refuse_a_reference_of_the_other_kind(self, capsys, family, given, other):
+        code, out, err = invoke(capsys, "identities", "--family", family, *given, *other)
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{other[0]} does not apply" in json.loads(err)["error"]
+        # the other kind's reference alone is refused too, not ignored
+        code, out, err = invoke(capsys, "identities", "--family", family, *other)
+        assert code == EXIT_VALIDATION and out == ""
+
 
 class TestGeometryCommands:
     POINTS = json.dumps([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])

@@ -346,6 +346,16 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="pure"):
             pure_overlap_eigenvalues(MAX_MIXED, PURE0)
 
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-6, 1e-7])
+    def test_pure_overlap_small_eigenvalue_near_purity(self, theta):
+        # |0> against cos(theta)|0> + sin(theta)|1>: the eigenvalues are (1 +- cos(theta)) / 2,
+        # and (1 - cos(theta)) / 2 = sin(theta)^2 / (2 (1 + cos(theta))) without cancellation
+        v = np.array([math.cos(theta), math.sin(theta)])
+        upper, lower = pure_overlap_eigenvalues(PURE0, np.outer(v, v))
+        reference = math.sin(theta) ** 2 / (2.0 * (1.0 + math.cos(theta)))
+        assert lower == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert upper == pytest.approx((1.0 + math.cos(theta)) / 2.0, rel=1e-12, abs=0.0)
+
     def test_trace_exp_endpoints(self):
         assert trace_exp_qubit(MAX_MIXED, 0.0) == pytest.approx(2.0, abs=1e-12)
         # 2 e^{-1/2}
