@@ -10,25 +10,27 @@ n the alphabet size:
   upper    U_2    = s_a(V/4) - s_a(V/2) / 2                      (n = 2)
 
 L is attained and valid on two-letter pairs for every order in (0, 2],
-and valid for every alphabet at order 1, but for n >= 3 at orders != 1
+and valid for every alphabet at order 1, but for n >= 3 above order 1
 it can exceed the divergence (JD_2 of (1/2,1/2,0,0) vs (0,0,1/2,1/2) is
-1/4 while L(2) = 1/2). B_n is the bound proven for n >= 3 and orders in
-(0, 2]: f_a(x) = (x - x^a)/(a - 1) has -f_a'' = a x^(a-2) >= a on (0, 1],
-so f_a(x) + (a/2) x^2 is concave, which gives JD_a >= (a/8) ||P - Q||_2^2;
-a zero-sum difference with ||P - Q||_1 = V has ||P - Q||_2^2 >=
-(V^2/4)(1/floor(n/2) + 1/ceil(n/2)). B_n is attained at order 2 (it
-equals 1/4 on the pair above). Beyond order 2 no distance lower bound is
-proven (L already fails for two letters at order 2.5), and the reports
-give the trivial bound 0. The upper bounds hold for every alphabet and
-order in (0, 2].
+1/4 while L(2) = 1/2). Below order 1 no counterexample is known, but
+none is proven either, so the reports give B_n there too. B_n is the
+bound proven for n >= 3 and orders in (0, 2]: f_a(x) = (x - x^a)/(a - 1)
+has -f_a'' = a x^(a-2) >= a on (0, 1], so f_a(x) + (a/2) x^2 is concave,
+which gives JD_a >= (a/8) ||P - Q||_2^2; a zero-sum difference with
+||P - Q||_1 = V has ||P - Q||_2^2 >= (V^2/4)(1/floor(n/2) + 1/ceil(n/2)).
+B_n is attained at order 2 (it equals 1/4 on the pair above). Beyond
+order 2 no distance lower bound is proven (L already fails for two
+letters at order 2.5), and the reports give the trivial bound 0. The
+upper bounds hold for every alphabet and order in (0, 2].
 
 The quantum analogue replaces V by the trace distance T and n by the
 dimension d. The same concavity argument applies to the trace function
 Tr f_a(rho) + (a/2) Tr rho^2, and the eigenvalues of the traceless
 rho1 - rho2 give the same bound on ||rho1 - rho2||_2^2, so B_d holds for
 d >= 3; L holds for qubits at orders in (0, 2] and for every dimension
-at order 1. The upper bound (ln 2 / 2) T holds only for orders in
-[1, 2]; random qubit pairs break it at order 1/2.
+at order 1, and fails for d >= 3 above order 1. The upper bound
+(ln 2 / 2) T holds only for orders in [1, 2]; random qubit pairs break
+it at order 1/2.
 """
 
 from __future__ import annotations
@@ -116,23 +118,18 @@ def lower_L(v: float, alpha: float) -> float:
     return float(_curves(_check_v(v), check_alpha(alpha), 2)[0])
 
 
-def _lower_bound(v: float, alpha: float, n: int) -> float:
-    """The proven lower bound at distance v for n letters or dimension n.
+def _lower_bound(v: float, alpha: float, n: int) -> tuple[float, bool]:
+    """The proven lower bound at distance v for n letters or dimension n, and whether it is L.
 
     L(v) at order 1 and for n <= 2 at orders in (0, 2]; B_n(v) for n >= 3
     at orders in (0, 2]; 0 beyond order 2, where no distance bound is
     proven. See the module docstring for the proof.
     """
-    if _lower_is_L(alpha, n):
-        return lower_L(v, alpha)
+    if alpha == 1.0 or (n <= 2 and alpha <= 2.0):
+        return lower_L(v, alpha), True
     if alpha > 2.0:
-        return 0.0
-    return (alpha * v**2 / 32.0) * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2))
-
-
-def _lower_is_L(alpha: float, n: int) -> bool:
-    """Whether ``_lower_bound`` is L, the bound ``lower_witness_pair`` attains."""
-    return alpha == 1.0 or (n <= 2 and alpha <= 2.0)
+        return 0.0, False
+    return (alpha * v**2 / 32.0) * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2)), False
 
 
 def _distance(X: np.ndarray) -> float:
@@ -222,14 +219,15 @@ def bound_report(p, q, alpha: float) -> BoundReport:
         upper = _upper_Un(X, a)
         kind = "alpha_norm"
     lower_witness, upper_witness = map(tuple, _witness_pairs(_check_v(v), n))
+    lower, is_L = _lower_bound(v, a, n)
     return BoundReport(
-        lower=_lower_bound(v, a, n),
+        lower=lower,
         value=_divergence(X, _EVEN, a).value,
         upper=upper,
         v=v,
         alpha=a,
         upper_kind=kind,
-        lower_witness=lower_witness if _lower_is_L(a, n) else None,
+        lower_witness=lower_witness if is_L else None,
         upper_witness=upper_witness,
     )
 
@@ -247,7 +245,7 @@ def q_bound_report(rho1, rho2, alpha: float) -> BoundReport:
     X, w = _density_stack((rho1, rho2))
     t = _distance(X)
     return BoundReport(
-        lower=_lower_bound(t, a, X.shape[1]),
+        lower=_lower_bound(t, a, X.shape[1])[0],
         value=_divergence(X, _EVEN, a, w).value,
         upper=(LN2 / 2.0) * t,
         v=t,
@@ -347,9 +345,9 @@ def diagram(alpha: float, n: int, grid: int) -> DiagramPoints:
     points fill the region between the curves. The emitted lower curve
     is L. It bounds every sample for n = 2 at orders in (0, 2] and for
     any n at order 1, the cases the module docstring proves. Elsewhere
-    samples can dip below it: for n >= 3 at other orders, and for n = 2
-    at orders in (2, 3) (at grid 20, 342 of the 400 samples at orders
-    2.2, 2.5 and 2.8).
+    samples can dip below it: for n >= 3 above order 1 (below it none is
+    known to, though L is unproven), and for n = 2 at orders in (2, 3)
+    (at grid 20, 342 of the 400 samples at orders 2.2, 2.5 and 2.8).
     """
     a = check_alpha(alpha)
     if n < 2:

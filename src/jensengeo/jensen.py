@@ -21,7 +21,6 @@ from .classical import (
     _kl,
     as_distribution,
     check_alpha,
-    kl_divergence,
 )
 from .quantum import (
     EIG_FLOOR,
@@ -29,9 +28,7 @@ from .quantum import (
     _density_stack,
     _is_state,
     _relative_entropies,
-    as_density,
     density_to_json,
-    relative_entropy,
     validate_density,
 )
 
@@ -112,12 +109,9 @@ def _validated_stack(
     return kind, X, None, labels
 
 
-def _stack(fam: WeightedFamily, *extra) -> tuple[np.ndarray, np.ndarray | None]:
-    """The members of fam, and extra points of its kind after them, as one validated array.
-
-    Also returns the eigenvalues that validation found (see ``_validated_stack``).
-    """
-    return _validated_stack(fam.members + extra, fam.kind)[1:3]
+def _stack(fam: WeightedFamily) -> tuple[np.ndarray, np.ndarray | None]:
+    """The members of fam as one validated array, and the eigenvalues validation found."""
+    return _validated_stack(fam.members, fam.kind)[1:3]
 
 
 def _mix(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -330,6 +324,14 @@ def qjd_alpha(rho, sigma, alpha: float = 1.0) -> DivergenceResult:
     return _divergence(X, _EVEN, alpha, w)
 
 
+def _divergences_to(points, kind: str, ref) -> np.ndarray:
+    """D(x||ref) of every point, validated with ref in one call; states take one ``eigh`` of ref."""
+    _, X, w, _ = _validated_stack((*points, ref), kind)
+    if kind == "classical":
+        return _kl(X[:-1], X[-1])
+    return _relative_entropies(w[:-1], X[:-1], *np.linalg.eigh(X[-1]))
+
+
 def redundancy(fam: WeightedFamily, q) -> float:
     """Mean coding redundancy sum_i pi_i D(P_i || Q) of coding for Q.
 
@@ -337,8 +339,27 @@ def redundancy(fam: WeightedFamily, q) -> float:
     divergence of the family. +inf propagates from any support escape.
     """
     _require_kind(fam, "classical")
-    X = _stack(fam, q)[0]
-    return float(_weighted_mean(fam.weights.probs, _kl(X[:-1], X[-1])))
+    return float(_weighted_mean(fam.weights.probs, _divergences_to(fam.members, fam.kind, q)))
+
+
+def q_redundancy(fam: WeightedFamily, sigma) -> float:
+    """Mean quantum coding redundancy sum_i pi_i S(rho_i || sigma)."""
+    _require_kind(fam, "quantum")
+    return float(_weighted_mean(fam.weights.probs, _divergences_to(fam.members, fam.kind, sigma)))
+
+
+def _identity_residual(fam: WeightedFamily, ref) -> float:
+    """| sum pi_i D(x_i||ref) - sum pi_i D(x_i||mixture) - D(mixture||ref) | of either kind.
+
+    A failed cross-check of the middle term (ArithmeticError) is reported before an infinite term.
+    """
+    d = _divergences_to(fam.members + (mixture(fam),), fam.kind, ref)
+    r_ref = _weighted_mean(fam.weights.probs, d[:-1])
+    X, wx = _stack(fam)
+    r_mix = _divergence(X, fam.weights.probs, 1.0, wx).value
+    if math.isinf(r_ref) or math.isinf(d[-1]):
+        raise ValueError("identity needs finite terms: the reference must support the mixture")
+    return float(abs(r_ref - r_mix - d[-1]))
 
 
 def compensation_residual(fam: WeightedFamily, q) -> float:
@@ -348,34 +369,13 @@ def compensation_residual(fam: WeightedFamily, q) -> float:
     is float noise; infinite terms make the identity untestable and raise.
     """
     _require_kind(fam, "classical")
-    q = as_distribution(q)
-    r_q = redundancy(fam, q)
-    r_mix = jd_general(fam).value
-    d_mix_q = kl_divergence(mixture(fam), q)
-    if math.isinf(r_q) or math.isinf(d_mix_q):
-        raise ValueError("identity requires finite divergences (Q must dominate the mixture)")
-    return float(abs(r_q - r_mix - d_mix_q))
-
-
-def q_redundancy(fam: WeightedFamily, sigma) -> float:
-    """Mean quantum coding redundancy sum_i pi_i S(rho_i || sigma)."""
-    _require_kind(fam, "quantum")
-    X, w = _stack(fam, sigma)
-    ws, Vs = np.linalg.eigh(X[-1])
-    d = _relative_entropies(w[:-1], X[:-1], ws, Vs)
-    return float(_weighted_mean(fam.weights.probs, d))
+    return _identity_residual(fam, q)
 
 
 def donald_residual(fam: WeightedFamily, sigma) -> float:
     """| sum pi_i S(rho_i||sigma) - sum pi_i S(rho_i||mixture) - S(mixture||sigma) |."""
     _require_kind(fam, "quantum")
-    sigma = as_density(sigma)
-    r_sigma = q_redundancy(fam, sigma)
-    r_mix = qjd_general(fam).value
-    d_mix_sigma = relative_entropy(mixture(fam), sigma)
-    if math.isinf(r_sigma) or math.isinf(d_mix_sigma):
-        raise ValueError("identity requires a reference state with full support over the mixture")
-    return float(abs(r_sigma - r_mix - d_mix_sigma))
+    return _identity_residual(fam, sigma)
 
 
 def holevo_bound(fam: WeightedFamily) -> float:

@@ -293,52 +293,52 @@ def hs_distance_sq(rho, sigma) -> float:
     return float(np.sum(np.abs(r - s) ** 2))
 
 
-def purity(rho) -> float:
-    """Tr(rho^2), in [1/d, 1]."""
-    A = as_density(rho).matrix
-    return float(np.sum(np.abs(A) ** 2))
-
-
 def is_pure(rho) -> bool:
     """Rank-1 test: largest eigenvalue within 1e-9 of 1."""
     return float(as_density(rho).eigenvalues[-1]) >= 1.0 - PURITY_TOL
 
 
+def _two_level(gap: float) -> tuple[float, float]:
+    """Unit-trace two-level eigenvalues (1 +- sqrt(1 - gap)) / 2, gap = 4 lambda_+ lambda_-.
+
+    The smaller is gap / (4 lambda_+), free of the cancellation in (1 - sqrt(1 - gap)) / 2.
+    """
+    gap = min(max(gap, 0.0), 1.0)
+    upper = (1.0 + math.sqrt(1.0 - gap)) / 2.0
+    return (upper, gap / (4.0 * upper))
+
+
 def qubit_mixture_eigenvalues(rho) -> tuple[float, float]:
-    """Closed-form qubit eigenvalues 1/2 +- sqrt(2 Tr(rho^2) - 1) / 2."""
+    """Closed-form qubit eigenvalues: ``_two_level`` at gap = 4 det rho, from the entries."""
     state = as_density(rho)
     if state.dim != 2:
         raise ValueError(f"need a 2x2 state, got dimension {state.dim}")
-    r = math.sqrt(max(2.0 * purity(state) - 1.0, 0.0))
-    return (0.5 + r / 2.0, 0.5 - r / 2.0)
+    (a, b), (_, d) = state.matrix
+    return _two_level(4.0 * float(a.real * d.real - abs(b) ** 2))
 
 
 def pure_overlap_eigenvalues(rho1, rho2) -> tuple[float, float]:
     """Nonzero eigenvalues 1/2 +- sqrt(Tr(rho1 rho2)) / 2 of an even mixture of two pure states.
 
     The remaining d - 2 eigenvalues of (rho1 + rho2) / 2 vanish because the
-    mixture is supported on the span of the two state vectors. Without the
-    cancellation of 1/2 - c/2 near c = 1, c^2 = Tr(rho1 rho2) enters as
-    1 - c^2 = ||rho1 - rho2||_HS^2 / 2, and the smaller one is (1 - c^2) / (4 lambda_+).
+    mixture is supported on the span of the two state vectors. They are
+    ``_two_level`` at gap = 1 - Tr(rho1 rho2) = ||rho1 - rho2||_HS^2 / 2, so the
+    smaller one keeps full relative precision for nearly equal states.
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     if not is_pure(r1) or not is_pure(r2):
         raise ValueError("both states must be pure (rank 1)")
-    gap = min(hs_distance_sq(r1, r2) / 2.0, 1.0)
-    upper = 0.5 + math.sqrt(1.0 - gap) / 2.0
-    return (upper, gap / (4.0 * upper))
+    return _two_level(hs_distance_sq(r1, r2) / 2.0)
 
 
 def trace_exp_qubit(rho, t: float) -> float:
-    """Tr(exp(-t rho)) for a qubit: 2 e^{-t/2} cosh((t/2) sqrt(2 Tr(rho^2) - 1))."""
-    state = as_density(rho)
-    if state.dim != 2:
-        raise ValueError(f"need a 2x2 state, got dimension {state.dim}")
+    """Tr(exp(-t rho)) = e^{-t lambda_+} + e^{-t lambda_-} for a qubit, at the eigenvalues of
+    ``qubit_mixture_eigenvalues``."""
+    lams = qubit_mixture_eigenvalues(rho)
     t = float(t)
     if t < 0.0:
         raise ValueError(f"need t >= 0, got {t}")
-    r = math.sqrt(max(2.0 * purity(state) - 1.0, 0.0))
-    return 2.0 * math.exp(-t / 2.0) * math.cosh(t * r / 2.0)
+    return sum(math.exp(-t * lam) for lam in lams)
 
 
 def ginibre_state(dim: int, rng: np.random.Generator) -> DensityMatrix:

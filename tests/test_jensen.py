@@ -454,6 +454,65 @@ class TestDonaldIdentity:
             donald_residual(fam, PURE1)
 
 
+class TestIdentityResidualsAreTheCompositions:
+    """Each residual is the public composition of its three terms, bit for bit, for a raw
+    reference and for the same reference as a validated object."""
+
+    def test_compensation(self):
+        rng = np.random.default_rng(56)
+        for _ in range(30):
+            fam = random_family(rng)
+            ref = random_distribution(len(fam.members[0]), rng)
+            for q in (ref.probs, ref):
+                expected = abs(
+                    redundancy(fam, q) - jd_general(fam).value - kl_divergence(mixture(fam), q)
+                )
+                assert compensation_residual(fam, q) == expected
+
+    def test_donald(self):
+        rng = np.random.default_rng(57)
+        for _ in range(30):
+            d = int(rng.integers(2, 5))
+            members = [ginibre_state(d, rng), random_pure_state(d, rng), ginibre_state(d, rng)]
+            fam = weighted_family(members, rng.dirichlet(np.ones(3)))
+            ref = ginibre_state(d, rng)
+            for sigma in (ref.matrix, ref):
+                expected = abs(
+                    q_redundancy(fam, sigma)
+                    - qjd_general(fam).value
+                    - relative_entropy(mixture(fam), sigma)
+                )
+                assert donald_residual(fam, sigma) == expected
+
+    # a family and a reference whose support the mixture escapes, with the kind's gate
+    ESCAPES = pytest.mark.parametrize(
+        "residual, fam, ref, gate",
+        [
+            (
+                compensation_residual,
+                ([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5]),
+                [1.0, 0.0],
+                "DUAL_TOL_CLASSICAL",
+            ),
+            (donald_residual, ([np.eye(2) / 2.0, PURE0], [0.5, 0.5]), PURE1, "DUAL_TOL_QUANTUM"),
+        ],
+    )
+
+    @ESCAPES
+    def test_infinite_term_error_names_finiteness_and_support(self, residual, fam, ref, gate):
+        with pytest.raises(ValueError) as err:
+            residual(weighted_family(*fam), ref)
+        assert "finite" in str(err.value) and "support" in str(err.value)
+
+    @ESCAPES
+    def test_failed_cross_check_is_reported_before_an_infinite_term(
+        self, monkeypatch, residual, fam, ref, gate
+    ):
+        monkeypatch.setattr(jensen, gate, -1.0)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            residual(weighted_family(*fam), ref)
+
+
 class TestHolevo:
     def test_orthogonal_pures(self):
         fam = weighted_family([PURE0, PURE1], [0.5, 0.5])
@@ -562,7 +621,7 @@ class TestSpectraTakenOnce:
         "qjd_general": (1, lambda s: qjd_general(s["family"])),
         "holevo_bound": (1, lambda s: holevo_bound(s["family"])),
         "divergence_matrix": (6, lambda s: divergence_matrix(s["objects"], 1.5)),
-        "donald_residual": (5, lambda s: donald_residual(s["family"], s["raw"])),
+        "donald_residual": (4, lambda s: donald_residual(s["family"], s["raw"])),
         "relative_entropy": (3, lambda s: relative_entropy(s["raw"], s["pure"][0])),
     }
 

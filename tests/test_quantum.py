@@ -323,6 +323,13 @@ class TestClosedForms:
             w = spectrum(rho).eigenvalues
             assert abs(lam[0] - w[0]) < 1e-10 and abs(lam[1] - w[1]) < 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
+    def test_qubit_small_eigenvalue_near_purity(self, eps):
+        # 4 det rho / (4 lambda_+) has no cancellation: lambda_- is eps to full relative precision
+        upper, lower = qubit_mixture_eigenvalues(np.diag([1.0 - eps, eps]))
+        assert lower == pytest.approx(eps, rel=1e-12, abs=0.0)
+        assert upper == pytest.approx(1.0 - eps, rel=1e-15, abs=0.0)
+
     def test_qubit_eigs_dimension_error(self):
         with pytest.raises(ValueError):
             qubit_mixture_eigenvalues(np.eye(3) / 3.0)
