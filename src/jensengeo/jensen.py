@@ -148,15 +148,16 @@ def _gaps(
     - other orders: the mixtures, in one stacked ``eigvalsh``. The
       points' eigenvalues are ``wx``, and are not decomposed again.
     - order 1: the mixtures by ``eigh`` instead, as each gap is checked
-      against the averaged relative entropy
-      sum_j w_rj D(X[index_rj] || mixture_r), which needs the members'
-      eigenvalues and the mixtures' eigenpairs. The residuals are
-      |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
-      DUAL_TOL_QUANTUM raises ArithmeticError.
-    Eigenvalues <= 0 (float noise, as points and mixtures below EIG_FLOOR
-    are refused) add nothing to either form. The entropy-difference gaps are
-    nonnegative by concavity, so float noise below zero (and -0.0) is
-    returned as 0.0.
+      against the averaged relative entropy sum_j w_rj (-Tr x_j ln m_r - S(x_j)),
+      one expression for both kinds (for states, from the mixtures'
+      eigenpairs). The residuals are |gap - average|, and one beyond
+      DUAL_TOL_CLASSICAL / DUAL_TOL_QUANTUM raises ArithmeticError.
+    Entries and eigenvalues <= 0 (float noise, as points and mixtures below
+    EIG_FLOOR are refused) add nothing to either form, so the check, like
+    the gap, never reads +inf: m_r >= w_rj x_j supports every member, also
+    where an entry underflows to 0 or an eigenvalue is at most SUPPORT_TOL.
+    The entropy-difference gaps are nonnegative by concavity, so float noise
+    below zero (and -0.0) is returned as 0.0.
     """
     quantum = X.ndim == 3
     members = X[index]
@@ -174,19 +175,19 @@ def _gaps(
             raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
     else:
         wx, wm = X, mix
-    gaps = _entropies(wm, a) - (weights * _entropies(wx, a)[index]).sum(axis=-1)
+    hx = _entropies(wx, a)[index]
+    gaps = _entropies(wm, a) - (weights * hx).sum(axis=-1)
     floored = np.where(gaps <= 0.0, 0.0, gaps)
     if a != 1.0:
         return floored, None
-    if quantum:
-        d = _relative_entropies(wx[index], members, wm[:, None], Vm[:, None])
-        tol = DUAL_TOL_QUANTUM
-    else:
-        d = _kl(members, mix[:, None])
-        tol = DUAL_TOL_CLASSICAL
-    avg = _weighted_mean(weights, d)
+    # m >= w_j x_j: no member escapes the mixture's support, so no SUPPORT_TOL rule and no +inf
+    if quantum:  # the members' weights <u_l|x_j|u_l> on the mixture's eigenvectors, rows of U
+        U = np.ascontiguousarray(np.swapaxes(Vm, -1, -2))
+        members = np.einsum("rlk,rjkm,rlm->rjl", U.conj(), members, U).real
+    tr_x_ln_m = (members * np.log(np.where(wm > 0.0, wm, 1.0))[:, None]).sum(axis=-1)
+    avg = (weights * (-tr_x_ln_m - hx)).sum(axis=-1)
     residual = np.abs(gaps - avg)
-    bad = ~np.isfinite(avg) | (residual > tol)
+    bad = ~(residual <= (DUAL_TOL_QUANTUM if quantum else DUAL_TOL_CLASSICAL))
     if bad.any():
         r = int(np.argmax(bad))
         raise ArithmeticError(

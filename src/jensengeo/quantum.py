@@ -43,7 +43,7 @@ HERM_TOL = 1e-10      # max |A - A^dagger| accepted before symmetrization
 TRACE_TOL = 1e-9      # |tr - 1| above this is a hard error
 EIG_FLOOR = -1e-8     # eigenvalues below this mean a genuinely non-PSD input
 PURITY_TOL = 1e-9     # rank-1 test: largest eigenvalue >= 1 - PURITY_TOL
-SUPPORT_TOL = 1e-10   # sigma's eigenvalues <= this are its null space in S(rho||sigma)
+SUPPORT_TOL = 1e-10   # a passed-in sigma's eigenvalues <= this are its null space in S(rho||sigma)
 
 
 @dataclass(frozen=True)
@@ -333,12 +333,12 @@ def pure_overlap_eigenvalues(rho1, rho2) -> tuple[float, float]:
 
 def trace_exp_qubit(rho, t: float) -> float:
     """Tr(exp(-t rho)) = e^{-t lambda_+} + e^{-t lambda_-} for a qubit, at the eigenvalues of
-    ``qubit_mixture_eigenvalues``."""
+    ``qubit_mixture_eigenvalues``. t = inf gives the limit, the number of zero eigenvalues."""
     lams = qubit_mixture_eigenvalues(rho)
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"need t >= 0, got {t}")
-    return sum(math.exp(-t * lam) for lam in lams)
+    return sum(math.exp(-t * lam) if lam > 0.0 else 1.0 for lam in lams)
 
 
 def ginibre_state(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -437,6 +437,19 @@ class TestDiagram:
         with pytest.raises(ValueError):
             diagram(1.0, 1, 5)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: homotopy_pair(1.5, 1.0), r"need t in \[0, 1\]"),
+            (lambda: lower_witness_pair(1.0, 1), "need n >= 2"),
+            (lambda: upper_curve_value(1.0, 1.0, 1), "need n >= 2"),
+        ],
+        ids=["homotopy_pair", "lower_witness_pair", "upper_curve_value"],
+    )
+    def test_pair_and_curve_domains(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_huge_grid_rejected_before_allocation(self):
         # np.linspace alone would ask for 8 TB at this grid, so a missing cap
         # fails at once with a MemoryError instead of running out of memory

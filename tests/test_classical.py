@@ -81,6 +81,11 @@ class TestValidation:
             check_alpha(alpha)
 
 
+def test_random_distribution_needs_a_letter():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        random_distribution(0, np.random.default_rng(0))
+
+
 class TestShannonEntropy:
     def test_degenerate(self):
         assert shannon_entropy([1.0, 0.0]) == 0.0

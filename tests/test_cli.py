@@ -122,6 +122,32 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION and out == ""
         assert "labels" in json.loads(err)["error"]
 
+    def test_missing_second_input(self, capsys):
+        code, out, err = invoke(capsys, "jd", "--p", "[0.5,0.5]")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "--q" in json.loads(err)["error"]
+
+    def test_output_into_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "out.json"
+        argv = ["jd", "--p", "[1,0]", "--q", "[0,1]", "--output", str(target)]
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_BAD_FILE and out == ""
+        assert "cannot write" in json.loads(err)["error"]
+
+    def test_tolerance_scale_that_is_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("JG_TOLERANCE_SCALE", "abc")
+        code, out, err = invoke(capsys, "check-negative-type", "--points", "[[1,0],[0,1]]")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "JG_TOLERANCE_SCALE must be a float" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(np.bool_(True), True), (np.float32(0.5), 0.5), (np.int64(3), 3)],
+    )
+    def test_numpy_scalars_become_json_scalars(self, value, expected):
+        out = cli_module._jsonable({"x": [value]})
+        assert out == {"x": [expected]} and type(out["x"][0]) is type(expected)
+
     def test_module_entry_point(self):
         src = str(Path(jensengeo.__file__).resolve().parents[1])
         path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
@@ -654,6 +680,9 @@ class TestFuzzedInputs:
 
     @given(st.sampled_from(_CSV_FILES), _csv_file, _csv_file)
     @example(_CSV_FILES[0], "0,0,0", "0,8.988465674311579e+307,8.98846567431158e+307")
+    # a subnormal entry that mixes to 0 at order 1, as a pair and as a two-row point set
+    @example(_CSV_FILES[0], "0,0,1.0", "0,5e-324,1")
+    @example(_CSV_FILES[4], "0,0,1.0\n0,5e-324,1", "0.5,0.5")
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_csv_files(self, tmp_path_factory, template, x, y):
         base = tmp_path_factory.getbasetemp()

@@ -65,6 +65,15 @@ class TestDistanceMatrixValidation:
         with pytest.raises(ValueError, match="negative"):
             as_distance_matrix([[0.0, -1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [({"n": 3, "d": [[0, 1], [1, 0]]}, '"n" does not match'),
+         ([[0, math.nan], [math.nan, 0]], "must be finite")],
+    )
+    def test_rejects_a_wrong_size_or_a_nan(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            as_distance_matrix(obj)
+
     def test_repairs_float_noise(self):
         dm = as_distance_matrix([[0.0, -1e-13], [-1e-13, 0.0]])
         assert dm.d[0, 1] == 0.0
@@ -505,6 +514,10 @@ class TestQuadrupleCM:
         for a in (0.5, 1.0, 2.5, 4.0):
             assert math.isfinite(quadruple_cm_determinant(a, 1e-6))
 
+    def test_quadruple_points_refuse_eps_out_of_range(self):
+        with pytest.raises(ValueError, match="0 < eps < 1/6"):
+            quadruple_distributions(0.2)
+
     def test_quadruple_points(self):
         pts = quadruple_distributions(0.01)
         assert [p.probs[0] for p in pts] == pytest.approx([0.47, 0.49, 0.51, 0.53])
@@ -535,6 +548,9 @@ class TestLeadingSignPolynomial:
     def test_positive_at_36(self):
         assert cm_leading_sign(3.6) > 0.0
 
+    def test_prediction_is_zero_at_a_root(self):
+        assert cm_sign_prediction(2.0) == 0
+
     def test_prediction_is_minus_sign_of_alpha_minus_72(self):
         for a in (0.5, 1.5, 2.5, 3.2, 3.4, 4.0, 5.0):
             assert cm_sign_prediction(a) == (1 if a < 3.5 else -1)
@@ -562,6 +578,13 @@ class TestEvenDerivative:
         s = lambda p: binary_alpha_entropy(p, alpha)
         fd = (s(x - 2 * h) - 4 * s(x - h) + 6 * s(x) - 4 * s(x + h) + s(x + 2 * h)) / h**4
         assert s_alpha_even_derivative(2, alpha, x) == pytest.approx(fd, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "n, x, message", [(0, 0.5, "derivative order n >= 1"), (1, 1.0, "0 < x < 1")]
+    )
+    def test_domain(self, n, x, message):
+        with pytest.raises(ValueError, match=message):
+            s_alpha_even_derivative(n, 1.5, x)
 
     @pytest.mark.parametrize("delta", [1e-10, 1e-12, 1e-14])
     def test_stable_across_order_one(self, delta):

@@ -11,6 +11,7 @@ from jensengeo.classical import (
     shannon_entropy,
 )
 from jensengeo import jensen
+from jensengeo.bounds import q_bound_report
 from jensengeo.geometry import divergence_matrix
 from jensengeo.jensen import (
     compensation_residual,
@@ -86,6 +87,20 @@ class TestWeightedFamily:
     def test_rejects_mixed_dims(self):
         with pytest.raises(ValueError):
             weighted_family([PURE0, np.eye(3) / 3.0], [0.5, 0.5])
+
+    def test_rejects_an_empty_family(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            weighted_family([], [])
+
+    def test_json_round_trip_of_states(self):
+        rng = np.random.default_rng(21)
+        fam = weighted_family([ginibre_state(3, rng), random_pure_state(3, rng)], [0.25, 0.75])
+        again = family_from_json(family_to_json(fam))
+        assert again.kind == "quantum"
+        assert np.array_equal(again.weights.probs, fam.weights.probs)
+        # validating the wire entries again can move an entry by an ulp
+        for m, n in zip(again.members, fam.members):
+            assert np.max(np.abs(m.matrix - n.matrix)) <= 4.5e-16
 
     def test_json_round_trip(self):
         fam = weighted_family([[0.5, 0.5], [0.25, 0.75]], [0.3, 0.7])
@@ -206,6 +221,61 @@ class TestDualCrossCheck:
             states = [ginibre_state(d, rng) for _ in range(4)] + [random_pure_state(d, rng)]
             fam = weighted_family(states, rng.dirichlet(np.ones(5)))
             assert qjd_general(fam).value > 0.0
+
+
+# a state whose second eigenvalue eps leaves the even mixture with |0><0| an eigenvalue eps / 2
+# at or below SUPPORT_TOL (1e-10) while the state puts more than 1e-10 there
+NEAR_NULL = [1e-10, 1.5e-10, 2e-10, 1e-9]
+
+
+def near_null_pair(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    return np.diag([1.0 - eps, eps]).astype(complex), PURE0
+
+
+class TestCheckReadsTheMixtureByTheGapRule:
+    """A mixture supports every member it holds (m >= w_j x_j), so the order-1 cross-check counts
+    every mixture entry or eigenvalue above 0, as the gap does, and never reads +inf: a mixture
+    entry that underflows to 0, or an eigenvalue at or below SUPPORT_TOL, is not an escape."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_subnormal_entry_that_mixes_to_zero(self, alpha):
+        # 5e-324 / 2 rounds to 0, the mixture's entry
+        res = jd_alpha([0.0, 0.0, 1.0], [0.0, 5e-324, 1.0], alpha)
+        assert res.value == 0.0
+        assert res.dual_residual == (0.0 if alpha == 1.0 else None)
+
+    @pytest.mark.parametrize("eps", NEAR_NULL)
+    def test_near_null_mixture_eigenvalue(self, eps):
+        rho, sigma = near_null_pair(eps)
+        res = qjd_alpha(rho, sigma, 1.0)
+        # a commuting pair is the pair of its diagonals
+        assert res.value == pytest.approx(jd_alpha([1.0 - eps, eps], [1.0, 0.0]).value, rel=1e-12)
+        assert 0.0 <= res.dual_residual <= jensen.DUAL_TOL_QUANTUM
+        U = random_unitary(2, np.random.default_rng(3))
+        rotated = qjd_alpha(U @ rho @ U.conj().T, U @ sigma @ U.conj().T, 1.0)
+        assert abs(rotated.value - res.value) <= 1e-14
+        assert 0.0 <= rotated.dual_residual <= jensen.DUAL_TOL_QUANTUM
+
+    def test_near_null_value(self):
+        assert qjd_alpha(*near_null_pair(2e-10), 1.0).value == 6.931471806099515e-11
+
+    def test_near_null_pair_in_the_matrix_and_the_bound_report(self):
+        rho, sigma = near_null_pair(2e-10)
+        value = qjd_alpha(rho, sigma, 1.0).value
+        assert divergence_matrix([rho, sigma], 1.0).d[0, 1] == value
+        assert q_bound_report(rho, sigma, 1.0).value == value
+
+    def test_small_weight_family(self):
+        # the mixture's small eigenvalue is 1e-11, below SUPPORT_TOL; the member's is 1e-8
+        fam = weighted_family([np.diag([1.0 - 1e-8, 1e-8]), PURE0], [1e-3, 1.0 - 1e-3])
+        assert holevo_bound(fam) == 6.907755361692755e-11
+        assert donald_residual(fam, np.eye(2) / 2.0) <= 1e-12
+
+    def test_mixture_entry_that_underflows_under_a_small_weight(self):
+        # 1e-300 * 1e-30 underflows to 0 in the mixture, and the true value rounds to 0
+        fam = weighted_family([[1e-30, 1.0 - 1e-30], [0.0, 1.0]], [1e-300, 1.0 - 1e-300])
+        res = jd_general(fam)
+        assert res.value == 0.0 and res.dual_residual == 0.0
 
 
 class TestJDGeneral:

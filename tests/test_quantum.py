@@ -381,6 +381,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             trace_exp_qubit(MAX_MIXED, -1.0)
 
+    def test_trace_exp_rejects_nan_t(self):
+        with pytest.raises(ValueError, match="need t >= 0"):
+            trace_exp_qubit(MAX_MIXED, math.nan)
+
+    @pytest.mark.parametrize("rho, limit", [(PURE0, 1.0), (MAX_MIXED, 0.0)])
+    def test_trace_exp_at_infinite_t_is_the_limit(self, rho, limit):
+        # each zero eigenvalue gives 1, each positive one 0
+        assert trace_exp_qubit(rho, math.inf) == limit
+
 
 class TestGenerators:
     def test_ginibre_is_valid_state(self):

@@ -146,6 +146,8 @@ BAD_POINTS_QUANTUM = [
     (GOOD_RHO + np.triu(np.full((3, 3), 1e-3), 1), "Hermitian: max asymmetry 1.000e-03"),
     (np.diag([0.5, 0.5, 0.5]), "trace is 1.5"),
     (np.diag([0.7, 0.4, -0.1]), "positive semidefinite: min eigenvalue -1.000e-01"),
+    (np.zeros((0, 0)), "at least 1x1"),
+    ({"dim": 2, "entries": [[[1 / 3, 0]] * 3] * 3}, '"dim" is 2 but entries are 3x3'),
 ]
 
 
