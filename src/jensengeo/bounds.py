@@ -118,18 +118,23 @@ def lower_L(v: float, alpha: float) -> float:
     return float(_curves(_check_v(v), check_alpha(alpha), 2)[0])
 
 
-def _lower_bound(v: float, alpha: float, n: int) -> tuple[float, bool]:
-    """The proven lower bound at distance v for n letters or dimension n, and whether it is L.
+def _L_is_proven(a: float, n: int) -> bool:
+    """Whether L is the proven lower bound: at order 1, and for n <= 2 at orders in (0, 2]."""
+    return a == 1.0 or (n <= 2 and a <= 2.0)
 
-    L(v) at order 1 and for n <= 2 at orders in (0, 2]; B_n(v) for n >= 3
-    at orders in (0, 2]; 0 beyond order 2, where no distance bound is
-    proven. See the module docstring for the proof.
+
+def _lower_bound(v: float, a: float, n: int, L: float | None) -> float:
+    """The proven lower bound at distance v for n letters or dimension n.
+
+    L, the value of ``lower_L`` at v, where ``_L_is_proven``; B_n(v) for
+    n >= 3 at the other orders in (0, 2]; 0 beyond order 2, where no
+    distance bound is proven. See the module docstring for the proof.
     """
-    if alpha == 1.0 or (n <= 2 and alpha <= 2.0):
-        return lower_L(v, alpha), True
-    if alpha > 2.0:
-        return 0.0, False
-    return (alpha * v**2 / 32.0) * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2)), False
+    if _L_is_proven(a, n):
+        return L
+    if a > 2.0:
+        return 0.0
+    return (a * v**2 / 32.0) * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2))
 
 
 def _distance(X: np.ndarray) -> float:
@@ -212,21 +217,19 @@ def bound_report(p, q, alpha: float) -> BoundReport:
     X = _distribution_stack((p, q))[0]
     n = X.shape[1]
     v = _distance(X)
-    if n == 2:
-        upper = upper_U2(v, a)
-        kind = "two_letter"
-    else:
-        upper = _upper_Un(X, a)
-        kind = "alpha_norm"
-    lower_witness, upper_witness = map(tuple, _witness_pairs(_check_v(v), n))
-    lower, is_L = _lower_bound(v, a, n)
+    v_checked = _check_v(v)
+    is_L = _L_is_proven(a, n)
+    L = U2 = None
+    if n == 2 or is_L:  # L and U_2 from one stacked entropy call
+        L, U2 = map(float, _curves(v_checked, a, 2))
+    lower_witness, upper_witness = map(tuple, _witness_pairs(v_checked, n))
     return BoundReport(
-        lower=lower,
+        lower=_lower_bound(v, a, n, L),
         value=_divergence(X, _EVEN, a).value,
-        upper=upper,
+        upper=U2 if n == 2 else _upper_Un(X, a),
         v=v,
         alpha=a,
-        upper_kind=kind,
+        upper_kind="two_letter" if n == 2 else "alpha_norm",
         lower_witness=lower_witness if is_L else None,
         upper_witness=upper_witness,
     )
@@ -244,8 +247,10 @@ def q_bound_report(rho1, rho2, alpha: float) -> BoundReport:
     a = check_alpha(alpha)
     X, w = _density_stack((rho1, rho2))
     t = _distance(X)
+    d = X.shape[1]
+    L = float(_curves(_check_v(t), a, 2)[0]) if _L_is_proven(a, d) else None
     return BoundReport(
-        lower=_lower_bound(t, a, X.shape[1])[0],
+        lower=_lower_bound(t, a, d, L),
         value=_divergence(X, _EVEN, a, w).value,
         upper=(LN2 / 2.0) * t,
         v=t,

@@ -28,6 +28,7 @@ from .quantum import (
     _density_stack,
     _is_state,
     _relative_entropies,
+    _two_level,
     density_to_json,
     validate_density,
 )
@@ -125,6 +126,42 @@ def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (weights * np.where(weights > 0.0, values, 0.0)).sum(axis=-1)
 
 
+def _spreads(members: np.ndarray, mix: np.ndarray) -> np.ndarray:
+    """||x_rj - m_r||^2 of the members (R, k, ...) about their mixtures (R, ...), Euclidean or
+    Hilbert-Schmidt over the complex entries; overwrites members with the deviations."""
+    members -= mix[:, None]
+    sq = np.abs(members)
+    sq *= sq
+    return sq.reshape(members.shape[:2] + (-1,)).sum(axis=-1)
+
+
+def _two_level_rows(wx: np.ndarray, index: np.ndarray) -> tuple:
+    """The families of states (members' eigenvalues wx, rows of index) whose mixture has at most
+    two nonzero eigenvalues, and the others, as two row indices: all rows as a slice (indexing
+    copies nothing), none as None.
+
+    These are every family of qubits, and every family of at most two pure
+    states, whose spectrum the rank rule of validation stored as (0, ..., 0, 1).
+    """
+    d = wx.shape[1]
+    if d == 2:
+        return slice(None), None
+    if d > 2 and index.shape[1] <= 2:
+        pure = ~wx[:, :-1].any(axis=-1)
+        if pure.any():
+            rows = pure[index].all(axis=-1)
+            if rows.all():
+                return slice(None), None
+            if rows.any():
+                return rows, ~rows
+    return None, slice(None)
+
+
+def _spectra(mix: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ascending eigenvalues of the mixtures, with their eigenvectors at order 1 only."""
+    return np.linalg.eigh(mix) if a == 1.0 else (np.linalg.eigvalsh(mix), None)
+
+
 def _gaps(
     X: np.ndarray,
     index: np.ndarray,
@@ -141,17 +178,29 @@ def _gaps(
     every r, S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]), and the dual
     residuals (None away from order 1).
 
-    What is decomposed depends on the order (and only states are):
-    - order 2: nothing. S_2(x) = 1 - ||x||^2 and the weights sum to 1, so
+    Where the mixtures' spectra come from depends on the order and the row:
+    - order 2: nowhere. S_2(x) = 1 - ||x||^2 and the weights sum to 1, so
       the gap is sum_j w_rj ||X[index_rj] - mixture_r||^2 (Euclidean, or
       Hilbert-Schmidt over the complex entries), nonnegative as computed.
-    - other orders: the mixtures, in one stacked ``eigvalsh``. The
-      points' eigenvalues are ``wx``, and are not decomposed again.
-    - order 1: the mixtures by ``eigh`` instead, as each gap is checked
-      against the averaged relative entropy sum_j w_rj (-Tr x_j ln m_r - S(x_j)),
-      one expression for both kinds (for states, from the mixtures'
-      eigenpairs). The residuals are |gap - average|, and one beyond
-      DUAL_TOL_CLASSICAL / DUAL_TOL_QUANTUM raises ArithmeticError.
+    - two-level rows, whose mixture has at most two nonzero eigenvalues:
+      every family of qubits, and every family of at most two pure states
+      (spectrum (0, ..., 0, 1) by the rank rule of validation) in any
+      dimension. ``_two_level`` gives lambda_+ and lambda_- from
+      g = 4 lambda_+ lambda_- = 4 sum_j w_rj det x_j + 2 sum_j w_rj ||x_j - m_r||^2,
+      det x_j being the product of its two largest eigenvalues, and the
+      other eigenvalues are 0: no eigensolver.
+    - other rows: one stacked ``eigvalsh`` of their mixtures, or ``eigh``
+      at order 1.
+    The points' eigenvalues are ``wx``, and are not decomposed again; the
+    entropies of the points and of all mixture spectra come from one call.
+    At order 1 each gap is checked against the averaged relative entropy
+    sum_j w_rj (-Tr x_j ln m_r - S(x_j)), one expression for both kinds: for
+    distributions entrywise, for the other rows of states from the mixtures'
+    eigenpairs, and for two-level rows as
+    Tr x_j ln m_r = ln lambda_+ + c (Tr(x_j m_r) - lambda_+) on the mixture's
+    support, c being the divided difference of ln at lambda_- and lambda_+.
+    The residuals are |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
+    DUAL_TOL_QUANTUM raises ArithmeticError.
     Entries and eigenvalues <= 0 (float noise, as points and mixtures below
     EIG_FLOOR are refused) add nothing to either form, so the check, like
     the gap, never reads +inf: m_r >= w_rj x_j supports every member, also
@@ -165,26 +214,46 @@ def _gaps(
     if a == 2.0:
         # The mixtures of validated states need no PSD check: by Weyl's inequality
         # lambda_min(sum_j w_j rho_j) >= sum_j w_j lambda_min(rho_j) >= EIG_FLOOR.
-        members -= mix[:, None]  # a copy of the points: their deviations from the mixtures
-        sq = np.abs(members)
-        sq *= sq
-        return (weights * sq.reshape(weights.shape + (-1,)).sum(axis=-1)).sum(axis=-1), None
-    if quantum:
-        wm, Vm = np.linalg.eigh(mix) if a == 1.0 else (np.linalg.eigvalsh(mix), None)
+        return (weights * _spreads(members, mix)).sum(axis=-1), None
+    if not quantum:
+        wx, wm = X, mix
+    else:
+        two, other = _two_level_rows(wx, index)
+        if two is None:
+            wm, Vm = _spectra(mix, a)
+        else:
+            wm = np.zeros(mix.shape[:2])
+            if other is not None:
+                wm[other], Vm = _spectra(mix[other], a)
+            members2, mix2 = members[two], mix[two]
+            if a == 1.0:  # Tr(x_j m), the real inner product of the entries
+                tr_xm = np.einsum("rjab,rab->rj", members2.view(float), mix2.view(float))
+            det = (wx[:, -1] * wx[:, -2])[index[two]]
+            g = (weights[two] * (4.0 * det + 2.0 * _spreads(members2, mix2))).sum(axis=-1)
+            wm[two, -1], wm[two, -2] = _two_level(g)
         if wm.min() < EIG_FLOOR:
             raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
-    else:
-        wx, wm = X, mix
-    hx = _entropies(wx, a)[index]
-    gaps = _entropies(wm, a) - (weights * hx).sum(axis=-1)
+    h = _entropies(np.concatenate((wx, wm)), a)
+    hx = h[: len(wx)][index]
+    gaps = h[len(wx) :] - (weights * hx).sum(axis=-1)
     floored = np.where(gaps <= 0.0, 0.0, gaps)
     if a != 1.0:
         return floored, None
     # m >= w_j x_j: no member escapes the mixture's support, so no SUPPORT_TOL rule and no +inf
-    if quantum:  # the members' weights <u_l|x_j|u_l> on the mixture's eigenvectors, rows of U
-        U = np.ascontiguousarray(np.swapaxes(Vm, -1, -2))
-        members = np.einsum("rlk,rjkm,rlm->rjl", U.conj(), members, U).real
-    tr_x_ln_m = (members * np.log(np.where(wm > 0.0, wm, 1.0))[:, None]).sum(axis=-1)
+    ln_m = np.log(np.where(wm > 0.0, wm, 1.0))
+    if not quantum:
+        tr_x_ln_m = (members * ln_m[:, None]).sum(axis=-1)
+    else:
+        tr_x_ln_m = np.empty(weights.shape)
+        if other is not None:  # the members' weights <u_l|x_j|u_l> on the mixture's eigenvectors
+            U = np.ascontiguousarray(np.swapaxes(Vm, -1, -2))
+            diag = np.einsum("rlk,rjkm,rlm->rjl", U.conj(), members[other], U).real
+            tr_x_ln_m[other] = (diag * ln_m[other][:, None]).sum(axis=-1)
+        if two is not None:
+            lo, hi = wm[two, -2], wm[two, -1]
+            ln_lo, ln_hi = ln_m[two, -2], ln_m[two, -1]
+            c = np.divide(ln_hi - ln_lo, hi - lo, out=1.0 / hi, where=hi > lo)
+            tr_x_ln_m[two] = ln_hi[:, None] + c[:, None] * (tr_xm - hi[:, None])
     avg = (weights * (-tr_x_ln_m - hx)).sum(axis=-1)
     residual = np.abs(gaps - avg)
     bad = ~(residual <= (DUAL_TOL_QUANTUM if quantum else DUAL_TOL_CLASSICAL))

@@ -1,21 +1,31 @@
 """Density matrices, their spectra, and quantum information quantities.
 
-All matrix functions (log, power, exp) are evaluated through a Hermitian
-eigendecomposition; the dimensions in play are small enough that this is
-both exact and cheap. Trace distance is the unhalved trace norm
+Matrix functions (log, power, exp) are evaluated on spectra: the
+eigenvalues that validated a state, or a Hermitian eigendecomposition,
+except where a state or mixture has at most two nonzero eigenvalues
+(qubits, pure states and mixtures of two pure states). There
+``_two_level`` gives the spectrum in closed form from one gap, with no
+eigensolver. Trace distance is the unhalved trace norm
 ||rho - sigma||_1 = sum |eigenvalues of the difference|, range [0, 2],
 mirroring the unhalved total variation on the classical side.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import _distribution_array, _entropies, _stack_points, check_alpha
+from .classical import (
+    _NO_OVERFLOW,
+    _distribution_array,
+    _entropies,
+    _stack_points,
+    check_alpha,
+)
 
 __all__ = [
     "DensityMatrix",
@@ -44,6 +54,9 @@ TRACE_TOL = 1e-9      # |tr - 1| above this is a hard error
 EIG_FLOOR = -1e-8     # eigenvalues below this mean a genuinely non-PSD input
 PURITY_TOL = 1e-9     # rank-1 test: largest eigenvalue >= 1 - PURITY_TOL
 SUPPORT_TOL = 1e-10   # a passed-in sigma's eigenvalues <= this are its null space in S(rho||sigma)
+# rank rule: a d x d state whose d - 1 smallest eigenvalues all lie within PURE_EPS * d of 0,
+# the resolution of eigvalsh on a unit-trace matrix, has the spectrum (0, ..., 0, 1)
+PURE_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -53,7 +66,7 @@ class DensityMatrix:
     ``eigenvalues`` (ascending, read-only) are the ones its validation
     found, which the entropies, ``spectrum``, ``is_pure`` and the kernels
     read; one built by hand (not validated) takes them from one
-    ``eigvalsh``. Writing into ``matrix``
+    ``eigvalsh`` and the rank rule of ``_rank_rule``. Writing into ``matrix``
     bypasses validation and leaves them stale, as does
     ``dataclasses.replace`` with a new matrix.
     """
@@ -62,7 +75,9 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.linalg.eigvalsh(self.matrix) if self.eigenvalues is None else self.eigenvalues
+        w = self.eigenvalues
+        if w is None:
+            w = _rank_rule(np.linalg.eigvalsh(self.matrix))
         w = np.asarray(w).view()  # read-only without freezing the caller's array
         w.flags.writeable = False
         object.__setattr__(self, "eigenvalues", w)
@@ -111,21 +126,45 @@ def _density_point(raw) -> np.ndarray:
     return A
 
 
+def _rank_rule(w: np.ndarray) -> np.ndarray:
+    """Set each ascending spectrum in w (..., d) whose d - 1 smallest eigenvalues all lie within
+    PURE_EPS * d of 0 to (0, ..., 0, 1), in place, and return w.
+
+    Such a spectrum is a pure state's at the resolution of ``eigvalsh``;
+    the kernels then read it as rank 1 and need no eigensolver for its
+    mixtures with another pure state.
+    """
+    if w.shape[-1] > 1:
+        tol = PURE_EPS * w.shape[-1]
+        pure = w[..., -2] <= tol
+        if pure.any():
+            pure &= w[..., 0] >= -tol
+            w[pure] = 0.0
+            w[pure, -1] = 1.0
+    return w
+
+
 def _validate_densities(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The state checks of ``validate_density`` on every matrix of an (N, d, d) complex array.
 
     Returns the matrices symmetrized, with each trace within TRACE_TOL of
-    1 (but not 1) divided out, and their (N, d) ascending eigenvalues:
-    the one stacked ``eigvalsh`` that finds the smallest eigenvalues
-    serves the divergence kernels too. Where several matrices fail, the
-    first check that any matrix fails is reported, for the first matrix
-    that fails it. Halves are added, so symmetrizing cannot overflow, and
-    an asymmetry or trace that overflows (inf, or NaN) fails its check.
+    1 (but not 1) divided out, and their (N, d) ascending eigenvalues
+    under the rank rule of ``_rank_rule``: the one stacked ``eigvalsh``
+    that finds the smallest eigenvalues serves the divergence kernels
+    too. Where several matrices fail, the first check that any matrix
+    fails is reported, for the first matrix that fails it. Halves are
+    added, so symmetrizing cannot overflow, and an asymmetry or trace
+    that overflows (inf, or NaN) fails its check. A is a C-contiguous
+    stack; floating-point errors are silenced only when an entry exceeds
+    1e300, the one case where they can occur.
     """
-    if not np.isfinite(A).all():
-        raise ValueError("density matrix entries must be finite")
+    guard = contextlib.nullcontext()
+    if not np.abs(A.view(float)).max() <= _NO_OVERFLOW:
+        if not np.isfinite(A).all():
+            raise ValueError("density matrix entries must be finite")
+        guard = np.errstate(over="ignore", invalid="ignore")
     AH = np.swapaxes(A.conj(), -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with guard:
         asym = np.abs(A - AH)
         if asym.max() > HERM_TOL:
             worst = asym.max(axis=(-2, -1))
@@ -135,9 +174,11 @@ def _validate_densities(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         A = A / 2.0 + AH / 2.0
         tr = A.diagonal(0, -2, -1).sum(axis=-1).real
     dev = np.abs(tr - 1.0)
-    if not dev.max() <= TRACE_TOL:
+    worst = dev.max()
+    if not worst <= TRACE_TOL:
         raise ValueError(f"trace is {float(tr[np.argmax(~(dev <= TRACE_TOL))])}, not 1")
-    np.divide(A, tr[:, None, None], out=A, where=(dev != 0.0)[:, None, None])
+    if worst > 0.0:
+        np.divide(A, tr[:, None, None], out=A, where=(dev != 0.0)[:, None, None])
     w = np.linalg.eigvalsh(A)
     w_min = w[:, 0]
     if w_min.min() < EIG_FLOOR:
@@ -145,7 +186,7 @@ def _validate_densities(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "matrix is not positive semidefinite: "
             f"min eigenvalue {w_min[np.argmax(w_min < EIG_FLOOR)]:.3e}"
         )
-    return A, w
+    return A, _rank_rule(w)
 
 
 def _density_stack(points) -> tuple[np.ndarray, np.ndarray]:
@@ -294,18 +335,25 @@ def hs_distance_sq(rho, sigma) -> float:
 
 
 def is_pure(rho) -> bool:
-    """Rank-1 test: largest eigenvalue within 1e-9 of 1."""
+    """Rank-1 test: largest eigenvalue within 1e-9 of 1.
+
+    Looser than the rank rule of ``_rank_rule`` (within 4 d eps), which
+    decides only how the spectrum is stored and read.
+    """
     return float(as_density(rho).eigenvalues[-1]) >= 1.0 - PURITY_TOL
 
 
-def _two_level(gap: float) -> tuple[float, float]:
-    """Unit-trace two-level eigenvalues (1 +- sqrt(1 - gap)) / 2, gap = 4 lambda_+ lambda_-.
+def _two_level(gap) -> tuple:
+    """Unit-trace two-level eigenvalues (1 +- sqrt(1 - gap)) / 2 at gaps 4 lambda_+ lambda_- of
+    any shape, as (lambda_+, lambda_-).
 
-    The smaller is gap / (4 lambda_+), free of the cancellation in (1 - sqrt(1 - gap)) / 2.
+    The smaller is gap / (4 lambda_+), free of the cancellation in
+    (1 - sqrt(1 - gap)) / 2. A gap above 1 (rounding) reads 1; a gap
+    below 0 gives lambda_- < 0, which the caller's PSD check sees.
     """
-    gap = min(max(gap, 0.0), 1.0)
-    upper = (1.0 + math.sqrt(1.0 - gap)) / 2.0
-    return (upper, gap / (4.0 * upper))
+    gap = np.minimum(gap, 1.0)
+    upper = (1.0 + np.sqrt(1.0 - gap)) / 2.0
+    return upper, gap / (4.0 * upper)
 
 
 def qubit_mixture_eigenvalues(rho) -> tuple[float, float]:
@@ -314,7 +362,7 @@ def qubit_mixture_eigenvalues(rho) -> tuple[float, float]:
     if state.dim != 2:
         raise ValueError(f"need a 2x2 state, got dimension {state.dim}")
     (a, b), (_, d) = state.matrix
-    return _two_level(4.0 * float(a.real * d.real - abs(b) ** 2))
+    return tuple(map(float, _two_level(max(4.0 * float(a.real * d.real - abs(b) ** 2), 0.0))))
 
 
 def pure_overlap_eigenvalues(rho1, rho2) -> tuple[float, float]:
@@ -328,7 +376,7 @@ def pure_overlap_eigenvalues(rho1, rho2) -> tuple[float, float]:
     r1, r2 = as_density(rho1), as_density(rho2)
     if not is_pure(r1) or not is_pure(r2):
         raise ValueError("both states must be pure (rank 1)")
-    return _two_level(hs_distance_sq(r1, r2) / 2.0)
+    return tuple(map(float, _two_level(max(hs_distance_sq(r1, r2) / 2.0, 0.0))))
 
 
 def trace_exp_qubit(rho, t: float) -> float:

@@ -210,10 +210,12 @@ class TestDualCrossCheck:
         assert qjd_alpha_general(fam, 1.5).value > 0.0
 
     def test_kernel_keeps_the_mixture_psd_floor(self):
-        # valid members always mix to a state; the floor guards the kernel itself
+        # valid members always mix to a state; the floor guards the kernel itself, here on the
+        # closed-form lambda_- of a qubit mixture
         X = np.array([np.diag([1.5, -0.5]), np.diag([1.5, -0.5])], dtype=complex)
+        wx = np.array([[-0.5, 1.5], [-0.5, 1.5]])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            jensen._gaps(X, np.array([[0, 1]]), np.full((1, 2), 0.5), 1.5)
+            jensen._gaps(X, np.array([[0, 1]]), np.full((1, 2), 0.5), 1.5, wx)
 
     def test_passes_at_default_tolerances(self):
         rng = np.random.default_rng(4)
@@ -757,3 +759,138 @@ class TestRelativeEntropyKernel:
         for eps, finite in ((1e-11, True), (1e-9, False)):
             rho = U @ np.diag([1.0 - eps, eps]) @ U.conj().T
             assert math.isfinite(relative_entropy(rho, sigma)) is finite
+
+
+# the Pauli matrices, for qubits I/2 + r.sigma/2 at Bloch vector r
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.diag([1.0, -1.0]).astype(complex),
+)
+TWO_LEVEL_ORDERS = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+def bloch_qubit(r) -> np.ndarray:
+    return (np.eye(2) + sum(c * s for c, s in zip(r, PAULI))) / 2.0
+
+
+def pure_sets(rng, d: int, count: int) -> list:
+    return [random_pure_state(d, rng).matrix for _ in range(count)]
+
+
+class TestTwoLevelMixtures:
+    """Qubit families and pure pairs mix to at most two nonzero eigenvalues, which the kernel
+    takes from _two_level in closed form, row by row, with no eigensolver."""
+
+    SETS = {
+        "qubits": lambda rng: [ginibre_state(2, rng).matrix for _ in range(6)],
+        "pure3": lambda rng: pure_sets(rng, 3, 6),
+        "pure4": lambda rng: pure_sets(rng, 4, 6),
+        # pure pairs are two-level rows, every pair with a Ginibre state is not
+        "pure_and_ginibre3": lambda rng: pure_sets(rng, 3, 3)
+        + [ginibre_state(3, rng).matrix for _ in range(3)],
+    }
+
+    @pytest.mark.parametrize("alpha", TWO_LEVEL_ORDERS)
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_matrix_entries_are_the_pair_calls(self, name, alpha):
+        points = self.SETS[name](np.random.default_rng(61))
+        D = divergence_matrix(points, alpha).d
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                assert D[i, j] == D[j, i] == qjd_alpha(points[i], points[j], alpha).value
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_dispatch_per_row(self, decompositions, alpha):
+        # validation decomposes the 6 states once; of the 15 mixtures, the 3 pure pairs need
+        # no eigensolver; qubit and pure sets need none at all
+        rng = np.random.default_rng(62)
+        calls = {"pure_and_ginibre3": (2, 12), "qubits": (1, 0), "pure3": (1, 0)}
+        for name, (n_calls, mixtures) in calls.items():
+            points = self.SETS[name](rng)
+            decompositions.reset()
+            divergence_matrix(points, alpha)
+            assert decompositions == {
+                "calls": n_calls,
+                "eigh": mixtures if alpha == 1.0 else 0,
+                "eigvalsh": 6 + (0 if alpha == 1.0 else mixtures),
+            }
+
+    def test_order_one_gate_still_raises(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        qubits = ginibre_state(2, rng), ginibre_state(2, rng)
+        pures = random_pure_state(4, rng), random_pure_state(4, rng)
+        assert qjd_alpha(*qubits, 1.0).dual_residual <= 1e-14
+        assert qjd_alpha(*pures, 1.0).dual_residual <= 1e-14
+        monkeypatch.setattr(jensen, "DUAL_TOL_QUANTUM", -1.0)
+        for pair in (qubits, pures):
+            with pytest.raises(ArithmeticError, match="forms disagree"):
+                qjd_alpha(*pair, 1.0)
+
+
+def mp_entropy(mp, lams, a: float):
+    lams = [lam for lam in lams if lam > 0]
+    if a == 1.0:
+        return -mp.fsum(lam * mp.log(lam) for lam in lams)
+    return (1 - mp.fsum(lam ** mp.mpf(a) for lam in lams)) / (mp.mpf(a) - 1)
+
+
+def mp_qubit_eigenvalues(mp, M):
+    a, d, b = mp.re(M[0][0]), mp.re(M[1][1]), M[0][1]
+    half, disc = (a + d) / 2, mp.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+    return half - disc, half + disc
+
+
+def mp_qubit_family_value(mp, mats, weights, a: float):
+    """The order-a divergence of a qubit family, from its float entries, at 50 digits."""
+    X = [[[mp.mpc(z.real, z.imag) for z in row] for row in M] for M in mats]
+    W = [mp.mpf(float(w)) for w in weights]
+    mix = [[mp.fsum(w * x[p][q] for w, x in zip(W, X)) for q in range(2)] for p in range(2)]
+    members = mp.fsum(w * mp_entropy(mp, mp_qubit_eigenvalues(mp, x), a) for w, x in zip(W, X))
+    return mp_entropy(mp, mp_qubit_eigenvalues(mp, mix), a) - members
+
+
+class TestTwoLevelAgainstMpmath:
+    """Closed-form two-level values against a 50-digit evaluation of the same inputs."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize(
+        "radius, tol, tol_below_order_1",
+        [
+            (1e-3, 1e-15, 1e-15),  # near I/2: lambda_+ and lambda_- within 1e-3 of 1/2
+            (None, 2e-15, 2e-15),  # Bloch radii uniform in [0, 1)
+            # near purity the members' eigenvalues 5e-9 come from eigvalsh, to about eps in
+            # absolute terms, and S_0.5 has slope lambda^-1/2 = 1.4e4 there
+            (1.0 - 1e-8, 1e-14, 1e-11),
+        ],
+    )
+    def test_qubit_families(self, radius, tol, tol_below_order_1, alpha):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        rng = np.random.default_rng(64)
+        for k in (2, 3, 4, 5):
+            directions = rng.standard_normal((k, 3))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            radii = rng.uniform(0.0, 1.0, k) if radius is None else np.full(k, radius)
+            fam = weighted_family(
+                [bloch_qubit(r * u) for r, u in zip(radii, directions)], rng.dirichlet(np.ones(k))
+            )
+            mats = [m.matrix for m in fam.members]
+            expected = float(mp_qubit_family_value(mp, mats, fam.weights.probs, alpha))
+            error = abs(qjd_alpha_general(fam, alpha).value - expected)
+            assert error <= (tol_below_order_1 if alpha < 1.0 else tol)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("angle", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_pure_pairs_at_small_angles(self, d, angle, alpha):
+        # |<u|v>| = cos(angle): the mixture's spectrum is (1 +- cos(angle)) / 2
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        u, v = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+        u[0] = 1.0
+        v[0], v[1] = np.cos(angle), np.exp(0.7j) * np.sin(angle)
+        c = mp.cos(mp.mpf(angle))
+        expected = float(mp_entropy(mp, ((1 + c) / 2, (1 - c) / 2), alpha))
+        value = qjd_alpha(np.outer(u, u.conj()), np.outer(v, v.conj()), alpha).value
+        assert abs(value - expected) <= 1e-15

@@ -417,3 +417,35 @@ class TestGenerators:
 
     def test_as_density_coerces(self):
         assert as_density([[0.5, 0.0], [0.0, 0.5]]).dim == 2
+
+
+class TestRankRule:
+    """A state whose d - 1 smallest eigenvalues all lie within 4 d eps of 0 has the spectrum
+    (0, ..., 0, 1), so a pure state's entropies are exactly 0."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_pure_states_have_zero_entropy(self, d, alpha):
+        # the first state at d = 3 is the one CI checks: eigensolver noise read 0.0235 at
+        # order 0.1 without the rule
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            assert alpha_entropy_q(random_pure_state(d, rng), alpha) == 0.0
+
+    def test_validated_and_hand_built_spectra(self):
+        # 1e-16 is within 4 d eps = 1.8e-15 of 0 in d = 2
+        A = np.diag([1e-16, 1.0 - 1e-16]).astype(complex)
+        assert np.array_equal(validate_density(A).eigenvalues, [0.0, 1.0])
+        assert np.array_equal(DensityMatrix(matrix=A).eigenvalues, [0.0, 1.0])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_second_eigenvalue_1e_14_is_not_made_pure(self, d):
+        A = np.diag([0.0] * (d - 2) + [1e-14, 1.0 - 1e-14]).astype(complex)
+        for rho in (validate_density(A), DensityMatrix(matrix=A)):
+            assert rho.eigenvalues[-2] == 1e-14
+            assert alpha_entropy_q(rho, 0.5) > 0.0
+
+    def test_a_negative_eigenvalue_beyond_the_rule_is_kept(self):
+        # -1e-9 is valid (above EIG_FLOOR) but not within 4 d eps of 0
+        A = np.diag([-1e-9, 0.0, 1.0 + 1e-9]).astype(complex)
+        assert np.array_equal(validate_density(A).eigenvalues, [-1e-9, 0.0, 1.0 + 1e-9])
