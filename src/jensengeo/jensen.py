@@ -26,6 +26,7 @@ from .quantum import (
     EIG_FLOOR,
     DensityMatrix,
     _density_stack,
+    _is_rank_one,
     _is_state,
     _relative_entropies,
     _two_level,
@@ -135,31 +136,11 @@ def _spreads(members: np.ndarray, mix: np.ndarray) -> np.ndarray:
     return sq.reshape(members.shape[:2] + (-1,)).sum(axis=-1)
 
 
-def _two_level_rows(wx: np.ndarray, index: np.ndarray) -> tuple:
-    """The families of states (members' eigenvalues wx, rows of index) whose mixture has at most
-    two nonzero eigenvalues, and the others, as two row indices: all rows as a slice (indexing
-    copies nothing), none as None.
-
-    These are every family of qubits, and every family of at most two pure
-    states, whose spectrum the rank rule of validation stored as (0, ..., 0, 1).
-    """
+def _is_two_level(wx: np.ndarray, index: np.ndarray) -> bool:
+    """Whether every family of states (members' eigenvalues wx, rows of index) mixes to at most
+    two nonzero eigenvalues, as qubits do, and at most two pure states in any dimension."""
     d = wx.shape[1]
-    if d == 2:
-        return slice(None), None
-    if d > 2 and index.shape[1] <= 2:
-        pure = ~wx[:, :-1].any(axis=-1)
-        if pure.any():
-            rows = pure[index].all(axis=-1)
-            if rows.all():
-                return slice(None), None
-            if rows.any():
-                return rows, ~rows
-    return None, slice(None)
-
-
-def _spectra(mix: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ascending eigenvalues of the mixtures, with their eigenvectors at order 1 only."""
-    return np.linalg.eigh(mix) if a == 1.0 else (np.linalg.eigvalsh(mix), None)
+    return d == 2 or (d > 2 and index.shape[1] <= 2 and bool(_is_rank_one(wx).all()))
 
 
 def _gaps(
@@ -178,25 +159,27 @@ def _gaps(
     every r, S_a(mixture_r) - sum_j w_rj S_a(X[index_rj]), and the dual
     residuals (None away from order 1).
 
-    Where the mixtures' spectra come from depends on the order and the row:
+    Where the mixtures' spectra come from depends on the order and the points:
     - order 2: nowhere. S_2(x) = 1 - ||x||^2 and the weights sum to 1, so
       the gap is sum_j w_rj ||X[index_rj] - mixture_r||^2 (Euclidean, or
       Hilbert-Schmidt over the complex entries), nonnegative as computed.
-    - two-level rows, whose mixture has at most two nonzero eigenvalues:
-      every family of qubits, and every family of at most two pure states
-      (spectrum (0, ..., 0, 1) by the rank rule of validation) in any
+    - two-level calls, whose every mixture has at most two nonzero
+      eigenvalues: qubits, or pure states (spectrum (0, ..., 0, 1) by the
+      rank rule of validation) in families of at most two, in any
       dimension. ``_two_level`` gives lambda_+ and lambda_- from
       g = 4 lambda_+ lambda_- = 4 sum_j w_rj det x_j + 2 sum_j w_rj ||x_j - m_r||^2,
       det x_j being the product of its two largest eigenvalues, and the
       other eigenvalues are 0: no eigensolver.
-    - other rows: one stacked ``eigvalsh`` of their mixtures, or ``eigh``
-      at order 1.
+    - other calls, a set that mixes pure and other states in d >= 3
+      included: one stacked ``eigvalsh`` of the mixtures, or ``eigh`` at
+      order 1. The pure pairs of such a set read the eigensolver's noise
+      that their pair calls do not (see the rank rule in ``quantum``).
     The points' eigenvalues are ``wx``, and are not decomposed again; the
-    entropies of the points and of all mixture spectra come from one call.
+    entropies of the points and of the mixtures come from one call.
     At order 1 each gap is checked against the averaged relative entropy
     sum_j w_rj (-Tr x_j ln m_r - S(x_j)), one expression for both kinds: for
-    distributions entrywise, for the other rows of states from the mixtures'
-    eigenpairs, and for two-level rows as
+    distributions entrywise, for states from the mixtures' eigenpairs, and
+    in a two-level call as
     Tr x_j ln m_r = ln lambda_+ + c (Tr(x_j m_r) - lambda_+) on the mixture's
     support, c being the divided difference of ln at lambda_- and lambda_+.
     The residuals are |gap - average|, and one beyond DUAL_TOL_CLASSICAL /
@@ -215,24 +198,20 @@ def _gaps(
         # The mixtures of validated states need no PSD check: by Weyl's inequality
         # lambda_min(sum_j w_j rho_j) >= sum_j w_j lambda_min(rho_j) >= EIG_FLOOR.
         return (weights * _spreads(members, mix)).sum(axis=-1), None
+    two_level = quantum and _is_two_level(wx, index)
     if not quantum:
         wx, wm = X, mix
+    elif two_level:
+        if a == 1.0:  # Tr(x_j m), the real inner product of the entries
+            tr_xm = np.einsum("rjab,rab->rj", members.view(float), mix.view(float))
+        det = (wx[:, -1] * wx[:, -2])[index]
+        g = (weights * (4.0 * det + 2.0 * _spreads(members, mix))).sum(axis=-1)
+        wm = np.zeros(mix.shape[:2])
+        wm[:, -1], wm[:, -2] = _two_level(g)
     else:
-        two, other = _two_level_rows(wx, index)
-        if two is None:
-            wm, Vm = _spectra(mix, a)
-        else:
-            wm = np.zeros(mix.shape[:2])
-            if other is not None:
-                wm[other], Vm = _spectra(mix[other], a)
-            members2, mix2 = members[two], mix[two]
-            if a == 1.0:  # Tr(x_j m), the real inner product of the entries
-                tr_xm = np.einsum("rjab,rab->rj", members2.view(float), mix2.view(float))
-            det = (wx[:, -1] * wx[:, -2])[index[two]]
-            g = (weights[two] * (4.0 * det + 2.0 * _spreads(members2, mix2))).sum(axis=-1)
-            wm[two, -1], wm[two, -2] = _two_level(g)
-        if wm.min() < EIG_FLOOR:
-            raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
+        wm, Vm = np.linalg.eigh(mix) if a == 1.0 else (np.linalg.eigvalsh(mix), None)
+    if quantum and wm.min() < EIG_FLOOR:
+        raise ValueError(f"mixture is not positive semidefinite: min eigenvalue {wm.min():.3e}")
     h = _entropies(np.concatenate((wx, wm)), a)
     hx = h[: len(wx)][index]
     gaps = h[len(wx) :] - (weights * hx).sum(axis=-1)
@@ -241,19 +220,15 @@ def _gaps(
         return floored, None
     # m >= w_j x_j: no member escapes the mixture's support, so no SUPPORT_TOL rule and no +inf
     ln_m = np.log(np.where(wm > 0.0, wm, 1.0))
-    if not quantum:
-        tr_x_ln_m = (members * ln_m[:, None]).sum(axis=-1)
+    if two_level:
+        lo, hi = wm[:, -2], wm[:, -1]
+        c = np.divide(ln_m[:, -1] - ln_m[:, -2], hi - lo, out=1.0 / hi, where=hi > lo)
+        tr_x_ln_m = ln_m[:, -1, None] + c[:, None] * (tr_xm - hi[:, None])
     else:
-        tr_x_ln_m = np.empty(weights.shape)
-        if other is not None:  # the members' weights <u_l|x_j|u_l> on the mixture's eigenvectors
+        if quantum:  # the members' weights <u_l|x_j|u_l> on the mixture's eigenvectors, rows of U
             U = np.ascontiguousarray(np.swapaxes(Vm, -1, -2))
-            diag = np.einsum("rlk,rjkm,rlm->rjl", U.conj(), members[other], U).real
-            tr_x_ln_m[other] = (diag * ln_m[other][:, None]).sum(axis=-1)
-        if two is not None:
-            lo, hi = wm[two, -2], wm[two, -1]
-            ln_lo, ln_hi = ln_m[two, -2], ln_m[two, -1]
-            c = np.divide(ln_hi - ln_lo, hi - lo, out=1.0 / hi, where=hi > lo)
-            tr_x_ln_m[two] = ln_hi[:, None] + c[:, None] * (tr_xm - hi[:, None])
+            members = np.einsum("rlk,rjkm,rlm->rjl", U.conj(), members, U).real
+        tr_x_ln_m = (members * ln_m[:, None]).sum(axis=-1)
     avg = (weights * (-tr_x_ln_m - hx)).sum(axis=-1)
     residual = np.abs(gaps - avg)
     bad = ~(residual <= (DUAL_TOL_QUANTUM if quantum else DUAL_TOL_CLASSICAL))

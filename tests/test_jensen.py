@@ -217,6 +217,13 @@ class TestDualCrossCheck:
         with pytest.raises(ValueError, match="positive semidefinite"):
             jensen._gaps(X, np.array([[0, 1]]), np.full((1, 2), 0.5), 1.5, wx)
 
+    def test_kernel_keeps_the_psd_floor_on_eigensolver_spectra(self):
+        # two non-pure 3x3 points: their mixture goes through eigvalsh, and the floor sees it
+        X = np.array([np.diag([1.5, -0.25, -0.25])] * 2, dtype=complex)
+        wx = np.array([[-0.25, -0.25, 1.5]] * 2)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            jensen._gaps(X, np.array([[0, 1]]), np.full((1, 2), 0.5), 1.5, wx)
+
     def test_passes_at_default_tolerances(self):
         rng = np.random.default_rng(4)
         for d in (2, 3, 4):
@@ -780,13 +787,14 @@ def pure_sets(rng, d: int, count: int) -> list:
 
 class TestTwoLevelMixtures:
     """Qubit families and pure pairs mix to at most two nonzero eigenvalues, which the kernel
-    takes from _two_level in closed form, row by row, with no eigensolver."""
+    takes from _two_level in closed form, with no eigensolver, when every family of a call is
+    one of them."""
 
     SETS = {
         "qubits": lambda rng: [ginibre_state(2, rng).matrix for _ in range(6)],
         "pure3": lambda rng: pure_sets(rng, 3, 6),
         "pure4": lambda rng: pure_sets(rng, 4, 6),
-        # pure pairs are two-level rows, every pair with a Ginibre state is not
+        # a Ginibre state in the set sends every pair, pure pairs included, to the eigensolver
         "pure_and_ginibre3": lambda rng: pure_sets(rng, 3, 3)
         + [ginibre_state(3, rng).matrix for _ in range(3)],
     }
@@ -796,16 +804,24 @@ class TestTwoLevelMixtures:
     def test_matrix_entries_are_the_pair_calls(self, name, alpha):
         points = self.SETS[name](np.random.default_rng(61))
         D = divergence_matrix(points, alpha).d
+        # in the mixed set a pure pair's entry reads the null eigenvalues of eigvalsh, within
+        # 4 d eps of 0, which its pair call does not: the rank rule's bound below order 1
+        noise = 2.0 * (12.0 * np.finfo(float).eps) ** alpha / (1.0 - alpha) if alpha < 1 else 1e-13
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                assert D[i, j] == D[j, i] == qjd_alpha(points[i], points[j], alpha).value
+                pair = qjd_alpha(points[i], points[j], alpha).value
+                assert D[i, j] == D[j, i]
+                if name == "pure_and_ginibre3" and j < 3:
+                    assert abs(D[i, j] - pair) <= noise
+                else:
+                    assert D[i, j] == pair
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-    def test_dispatch_per_row(self, decompositions, alpha):
-        # validation decomposes the 6 states once; of the 15 mixtures, the 3 pure pairs need
-        # no eigensolver; qubit and pure sets need none at all
+    def test_dispatch_per_call(self, decompositions, alpha):
+        # validation decomposes the 6 states once; qubit and pure sets need no eigensolver for
+        # their 15 mixtures, and a set with a Ginibre state decomposes all of them
         rng = np.random.default_rng(62)
-        calls = {"pure_and_ginibre3": (2, 12), "qubits": (1, 0), "pure3": (1, 0)}
+        calls = {"pure_and_ginibre3": (2, 15), "qubits": (1, 0), "pure3": (1, 0)}
         for name, (n_calls, mixtures) in calls.items():
             points = self.SETS[name](rng)
             decompositions.reset()

@@ -445,6 +445,14 @@ class TestRankRule:
             assert rho.eigenvalues[-2] == 1e-14
             assert alpha_entropy_q(rho, 0.5) > 0.0
 
+    def test_spectrum_with_vectors_keeps_the_stored_eigenvalues(self):
+        rho = random_pure_state(3, np.random.default_rng(0))
+        plain, full = spectrum(rho), spectrum(rho, with_vectors=True)
+        assert np.array_equal(plain.eigenvalues, [1.0, 0.0, 0.0])
+        assert np.array_equal(full.eigenvalues, plain.eigenvalues)
+        recon = (full.eigenvectors * full.eigenvalues) @ full.eigenvectors.conj().T
+        assert np.max(np.abs(recon - rho.matrix)) < 1e-15
+
     def test_a_negative_eigenvalue_beyond_the_rule_is_kept(self):
         # -1e-9 is valid (above EIG_FLOOR) but not within 4 d eps of 0
         A = np.diag([-1e-9, 0.0, 1.0 + 1e-9]).astype(complex)
