@@ -274,7 +274,9 @@ def menger_embeddability(dmat, tol: float | None = None) -> bool:
     one stacked determinant per size k, over submatrices gathered from one
     bordered matrix by index tables built once per (n, k). The 2^n subsets
     cap the matrix at 12 points. Agrees with ``negative_type_check`` on
-    every valid input.
+    inputs whose margins clear both functions' tolerances. Each compares
+    against its own scaled 1e-9 tolerance, neither of which is an error
+    bound, so near the edge the two can disagree in either direction.
     """
     dm = as_distance_matrix(dmat)
     n = dm.n

@@ -56,6 +56,15 @@ class TestUpperUn:
     def test_identical(self):
         assert upper_Un([0.5, 0.5], [0.5, 0.5], 1.5) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-14, 1.0, 1.0 + 1e-14, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_upper_curve_is_Un_on_its_witness_pair(self, n, alpha):
+        # one coefficient serves both, across order 1; the pair's
+        # validation renormalizes it, hence a few ulps rather than bits
+        for v in np.linspace(0.0, 2.0, 41):
+            un = upper_Un(*upper_witness_pair(float(v), n), alpha)
+            assert upper_curve_value(float(v), alpha, n) == pytest.approx(un, rel=4e-16, abs=0.0)
+
     def test_three_letter_attainment(self):
         v, a = 1.0, 2.0
         p, q = upper_witness_pair(v, 3)
@@ -249,14 +258,17 @@ class TestProvenLowerBound:
         p, q = upper_witness_pair(1.0, 2)
         assert jd_alpha(p, q, 2.5).value < lower_L(1.0, 2.5) - 1e-3
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5])
     def test_diagonal_states_match_classical(self, alpha):
+        # both kinds of the one report body on the same pairs
         rng = np.random.default_rng(14)
-        for n in [3, 4, 5]:
+        for n in [2, 3, 4, 5]:
             p, q = random_distribution(n, rng), random_distribution(n, rng)
             crep = bound_report(p, q, alpha)
             qrep = q_bound_report(np.diag(p.probs), np.diag(q.probs), alpha)
-            assert qrep.lower == pytest.approx(crep.lower, abs=1e-12)
+            assert qrep.lower == pytest.approx(crep.lower, abs=1e-15)
+            assert qrep.value == pytest.approx(crep.value, abs=1e-15)
+            assert qrep.v == pytest.approx(crep.v, abs=1e-15)
 
 
 class TestChain:

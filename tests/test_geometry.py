@@ -317,6 +317,17 @@ class TestMengerEmbeddability:
                 dm = divergence_matrix(pts, alpha)
                 assert menger_embeddability(dm) == negative_type_check(dm).is_negative_type
 
+    @pytest.mark.parametrize(
+        "eps, embeddable, negative_type", [(-1e-4, True, False), (1e-7, False, True)]
+    )
+    def test_edge_disagreement_with_negative_type_check(self, eps, embeddable, negative_type):
+        # collinear points 0, 1, 2, 3 with D_03 moved off 9: each verdict is
+        # read against its own scaled tolerance, and the two fall apart
+        D = np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2
+        D[0, 3] = D[3, 0] = 9.0 + eps
+        assert menger_embeddability(D) == embeddable
+        assert negative_type_check(D).is_negative_type == negative_type
+
     def test_euclidean_squared_distances_embed(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 3))
