@@ -8,14 +8,15 @@ type" when c^T D c <= 0 for every coefficient vector c summing to zero.
 That holds iff the doubly centered matrix G = -1/2 J D J (with
 J = I - ones/n) is PSD on the sum-zero subspace, iff sqrt(D) embeds
 isometrically into a real Hilbert space, iff every point subset passes
-the signed Cayley-Menger determinant test. All three certificates are
-implemented and cross-checked.
+the signed Cayley-Menger determinant test. The library decides this once,
+spectrally, in ``negative_type_check``; ``menger_embeddability`` returns
+that verdict, and the subset-wise determinant test is kept in the tests
+as the independent reference it is checked against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 SYM_TOL = 1e-12
-MENGER_MAX_POINTS = 12
 # the x accepted by power_integral besides 0
 POWER_X_MIN = 1e-300
 POWER_X_MAX = 1e150
@@ -119,8 +119,9 @@ def as_distance_matrix(obj) -> DistanceMatrix:
     """Validate a symmetric, zero-diagonal, nonnegative matrix.
 
     Accepts a DistanceMatrix, a raw square array, or the wire mapping
-    {"n": n, "d": [[...], ...]}. Asymmetry and negative entries within
-    1e-12 are repaired; anything larger is an error.
+    {"n": n, "d": [[...], ...]}, optionally with one "labels" entry per
+    point. Asymmetry and negative entries within 1e-12 are repaired;
+    anything larger is an error.
     """
     labels = None
     if isinstance(obj, DistanceMatrix):
@@ -147,6 +148,8 @@ def as_distance_matrix(obj) -> DistanceMatrix:
         raise ValueError(f"distance matrix must be square, got shape {D.shape}")
     if not np.all(np.isfinite(D)):
         raise ValueError("distance matrix entries must be finite")
+    if labels is not None and len(labels) != D.shape[0]:
+        raise ValueError("labels and matrix rows have different lengths")
     scale = max(float(np.max(np.abs(D))), 1.0)
     if float(np.max(np.abs(D - D.T))) > SYM_TOL * scale:
         raise ValueError("distance matrix is not symmetric")
@@ -251,9 +254,9 @@ def negative_type_check(dmat, tol: float | None = None) -> NegativeTypeReport:
 
 
 def _bordered(d: np.ndarray) -> np.ndarray:
-    """The bordered matrices [[D, 1], [1^T, 0]] of a stack of k x k matrices, (..., k+1, k+1)."""
-    M = np.ones(d.shape[:-2] + (d.shape[-1] + 1,) * 2)
-    M[..., :-1, :-1], M[..., -1, -1] = d, 0.0
+    """The bordered matrix [[D, 1], [1^T, 0]] of a k x k matrix, (k+1) x (k+1)."""
+    M = np.ones((d.shape[0] + 1,) * 2)
+    M[:-1, :-1], M[-1, -1] = d, 0.0
     return M
 
 
@@ -267,45 +270,16 @@ def cayley_menger_det(dmat) -> float:
     return float(np.linalg.det(_bordered(as_distance_matrix(dmat).d)))
 
 
-def menger_embeddability(dmat, tol: float | None = None) -> bool:
-    """Subset-wise Cayley-Menger test for isometric embeddability of sqrt(D).
+def menger_embeddability(dmat) -> bool:
+    """Whether sqrt(D) embeds isometrically: the verdict of ``negative_type_check``.
 
-    Checks (-1)^k det CM(Y) >= -tol for every subset Y of size k >= 2, in
-    one stacked determinant per size k, over submatrices gathered from one
-    bordered matrix by index tables built once per (n, k). The 2^n subsets
-    cap the matrix at 12 points. Agrees with ``negative_type_check`` on
-    inputs whose margins clear both functions' tolerances. Each compares
-    against its own scaled 1e-9 tolerance, neither of which is an error
-    bound, so near the edge the two can disagree in either direction.
+    By Schoenberg's theorem this is the subset-wise Cayley-Menger
+    criterion, (-1)^k det CM(Y) >= 0 for every k-point subset Y, decided
+    by one eigensolve at the default tolerance. The name is kept for
+    existing callers, the benchmark's ``classical-certify`` task among
+    them; ROADMAP item 1 drops it together with that benchmark step.
     """
-    dm = as_distance_matrix(dmat)
-    n = dm.n
-    if n > MENGER_MAX_POINTS:
-        raise ValueError(f"subset enumeration only supported for n <= {MENGER_MAX_POINTS}, got {n}")
-    dmax = max(float(np.max(dm.d)), 1e-30)
-    scale = tolerance_scale()
-    bordered = _bordered(dm.d).ravel()
-    for k in range(2, n + 1):
-        # determinants of k-point subsets scale like dmax^(k-1)
-        sub_tol = 1e-9 * n * dmax ** (k - 1) * scale if tol is None else tol
-        dets = np.linalg.det(bordered[_bordered_subsets(n, k)])
-        if np.any((-1.0) ** k * dets < -sub_tol):
-            return False
-    return True
-
-
-@functools.cache
-def _bordered_subsets(n: int, k: int) -> np.ndarray:
-    """Flat indices into the (n+1) x (n+1) bordered matrix of its k-point bordered submatrices.
-
-    Row r of the (C(n, k), k+1, k+1) result picks out [[D_YY, 1], [1^T, 0]]
-    for the r-th k-subset Y of range(n), the border index n appended to Y.
-    Read-only; every (n, k) with n <= MENGER_MAX_POINTS takes about 3 MB.
-    """
-    idx = np.array([(*c, n) for c in itertools.combinations(range(n), k)])
-    flat = idx[:, :, None] * (n + 1) + idx[:, None, :]
-    flat.flags.writeable = False
-    return flat
+    return _centred(dmat, None)[1].is_negative_type
 
 
 def embed(dmat, tol: float | None = None) -> Embedding:

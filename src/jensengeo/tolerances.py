@@ -1,11 +1,12 @@
 """Global tolerance scaling for certification checks.
 
 The environment variable JG_TOLERANCE_SCALE (default 1.0) multiplies the
-default tolerances of ``negative_type_check``, ``menger_embeddability`` and
-``exp_convexity_check`` and the CLI's ``identities`` and ``embed`` gates, so a
-stricter or looser run can be requested without touching call sites. Input
-validation (``EIG_FLOOR`` and the other validation tolerances), the kernel's
-mixture PSD check and its order-1 gate (``DUAL_TOL_*``) are not scaled.
+default tolerances of ``negative_type_check`` (whose verdict
+``menger_embeddability`` returns) and ``exp_convexity_check`` and the CLI's
+``identities`` and ``embed`` gates, so a stricter or looser run can be
+requested without touching call sites. Input validation (``EIG_FLOOR`` and
+the other validation tolerances), the kernel's mixture PSD check and its
+order-1 gate (``DUAL_TOL_*``) are not scaled.
 """
 
 from __future__ import annotations

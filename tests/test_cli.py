@@ -646,6 +646,7 @@ class TestFuzzedInputs:
             ["cayley-menger", "--matrix", f"[[0, {10**400}], [1, 0]]"],
             ["check-negative-type", "--matrix", '{"d": [[0]], "n": []}'],
             ["embed", "--matrix", '{"d": [[0, 1], [1, 0]], "labels": 5}'],
+            ["check-negative-type", "--matrix", '{"d": [[0, 1], [1, 0]], "labels": ["a", "b", "c"]}'],
             # finite entries whose totals or symmetrized entries overflow
             ["qjd", "--rho1", "[[1e308, 0], [0, -1e308]]", "--rho2", "[[1, 0], [0, 0]]"],
             ["qjd", "--rho1", "[[0, 1.7e308], [-1.7e308, 0]]", "--rho2", "[[1, 0], [0, 0]]"],

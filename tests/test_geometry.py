@@ -68,7 +68,8 @@ class TestDistanceMatrixValidation:
     @pytest.mark.parametrize(
         "obj, message",
         [({"n": 3, "d": [[0, 1], [1, 0]]}, '"n" does not match'),
-         ([[0, math.nan], [math.nan, 0]], "must be finite")],
+         ([[0, math.nan], [math.nan, 0]], "must be finite"),
+         ({"d": [[0, 1], [1, 0]], "labels": ["a"]}, "labels and matrix rows")],
     )
     def test_rejects_a_wrong_size_or_a_nan(self, obj, message):
         with pytest.raises(ValueError, match=message):
@@ -202,7 +203,8 @@ class TestNegativeType:
 
 
 class TestCentredEigenpairsShared:
-    """negative_type_check and embed on one DistanceMatrix share one eigendecomposition."""
+    """negative_type_check, embed and menger_embeddability on one DistanceMatrix
+    share one eigendecomposition."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_one_eigh_for_check_then_embed(self, decompositions, alpha):
@@ -210,6 +212,7 @@ class TestCentredEigenpairsShared:
         dm = divergence_matrix([random_distribution(4, rng) for _ in range(9)], alpha)
         report = negative_type_check(dm)
         emb = embed(dm)
+        assert menger_embeddability(dm)
         assert decompositions["eigh"] == 1
         assert report.is_negative_type
         again = embed(dm.d.copy())
@@ -295,18 +298,24 @@ class TestCayleyMenger:
 
 
 class TestMengerEmbeddability:
+    """``menger_embeddability`` is the verdict of ``negative_type_check``.
+
+    ``subset_loop``, the subset-wise Cayley-Menger test by definition, is
+    the independent reference that verdict is checked against.
+    """
+
     def test_equilateral(self):
         assert menger_embeddability([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
     def test_triple_alpha_25_not_embeddable(self):
-        assert not menger_embeddability(jd_matrix_of_triple(2.5))
+        dm = jd_matrix_of_triple(2.5)
+        assert not menger_embeddability(dm)
+        assert not negative_type_check(dm).is_negative_type
 
     def test_triple_alpha_2_embeddable(self):
-        assert menger_embeddability(jd_matrix_of_triple(2.0))
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="n <= 12"):
-            menger_embeddability(DistanceMatrix(d=np.zeros((13, 13))))
+        dm = jd_matrix_of_triple(2.0)
+        assert menger_embeddability(dm)
+        assert negative_type_check(dm).is_negative_type
 
     def test_agrees_with_negative_type_check(self):
         rng = np.random.default_rng(4)
@@ -317,6 +326,16 @@ class TestMengerEmbeddability:
                 dm = divergence_matrix(pts, alpha)
                 assert menger_embeddability(dm) == negative_type_check(dm).is_negative_type
 
+    @pytest.mark.parametrize("n", [13, 40])
+    def test_is_the_negative_type_verdict_beyond_twelve_points(self, n):
+        rng = np.random.default_rng(n)
+        verdicts = []
+        for alpha in (0.5, 1.0, 2.0, 2.5, 4.0):
+            dm = divergence_matrix([random_distribution(3, rng) for _ in range(n)], alpha)
+            verdicts.append(menger_embeddability(dm.d))
+            assert verdicts[-1] == negative_type_check(dm).is_negative_type
+        assert 0 < sum(verdicts) < len(verdicts)
+
     @pytest.mark.parametrize(
         "eps, embeddable, negative_type", [(-1e-4, True, False), (1e-7, False, True)]
     )
@@ -325,25 +344,29 @@ class TestMengerEmbeddability:
         # read against its own scaled tolerance, and the two fall apart
         D = np.subtract.outer(np.arange(4.0), np.arange(4.0)) ** 2
         D[0, 3] = D[3, 0] = 9.0 + eps
-        assert menger_embeddability(D) == embeddable
+        assert self.subset_loop(D) == embeddable
         assert negative_type_check(D).is_negative_type == negative_type
+        assert menger_embeddability(D) == negative_type
 
     def test_euclidean_squared_distances_embed(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 3))
         D = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-        assert menger_embeddability(D)
+        assert self.subset_loop(D)
         assert negative_type_check(D).is_negative_type
 
     @staticmethod
-    def subset_loop(D, tol=None):
-        """The test by definition: one cayley_menger_det per subset, sizes 2..n."""
+    def subset_loop(D):
+        """The test by definition: one cayley_menger_det per subset, sizes 2..n.
+
+        (-1)^k det CM(Y) >= -tol for every k-point subset Y, where the
+        determinants of k-point subsets scale like max(D)^(k-1).
+        """
         D = np.asarray(D, dtype=float)
         n = len(D)
         dmax = max(float(np.max(D)), 0.0)
         for k in range(2, n + 1):
             sub_tol = 1e-9 * n * max(dmax, 1e-30) ** (k - 1) * tolerance_scale()
-            sub_tol = sub_tol if tol is None else tol
             for idx in itertools.combinations(range(n), k):
                 if (-1.0) ** k * cayley_menger_det(D[np.ix_(idx, idx)]) < -sub_tol:
                     return False
@@ -368,43 +391,18 @@ class TestMengerEmbeddability:
                     D = np.sum((x[:, None] - x[None]) ** 2, axis=2) + E + E.T
                     D = np.maximum(D, 0.0)
                 np.fill_diagonal(D, 0.0)
-                verdict = menger_embeddability(D)
+                verdict = negative_type_check(D).is_negative_type
                 assert verdict == self.subset_loop(D), (n, r)
                 verdicts.append(verdict)
         assert len(verdicts) >= 200
         assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_repeated_calls_give_the_first_verdicts(self):
-        rng = np.random.default_rng(46)
-        inputs = []
-        for n in range(2, 13):
-            x = rng.standard_normal((n, 2))
-            E = rng.uniform(-0.05, 0.05, (n, n))
-            D = np.maximum(np.sum((x[:, None] - x[None]) ** 2, axis=2) + E + E.T, 0.0)
-            np.fill_diagonal(D, 0.0)
-            inputs.append(D)
-        first = [menger_embeddability(D) for D in inputs]
-        assert first == [self.subset_loop(D) for D in inputs]
-        assert 0 < sum(first) < len(first)
-        for _ in range(2):
-            assert [menger_embeddability(D) for D in inputs] == first
-            assert [menger_embeddability(D) for D in reversed(inputs)] == first[::-1]
-
-    def test_explicit_tolerance(self):
-        D = jd_matrix_of_triple(2.5).d
-        # the triple's only violating subset is the whole set, with (-1)^3 det < 0
-        worst = -cayley_menger_det(D)
-        assert worst < 0.0
-        for tol in (0.0, -worst * 0.99, -worst * 1.01, 1.0):
-            assert menger_embeddability(D, tol=tol) == self.subset_loop(D, tol=tol)
-        assert not menger_embeddability(D, tol=-worst * 0.99)
-        assert menger_embeddability(D, tol=-worst * 1.01)
-
     def test_twelve_euclidean_points(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((12, 3))
         D = np.sum((x[:, None] - x[None]) ** 2, axis=2)
-        assert menger_embeddability(D)
+        assert self.subset_loop(D)
+        assert negative_type_check(D).is_negative_type
 
     def test_twelve_points_containing_the_triple(self):
         rng = np.random.default_rng(43)
@@ -412,7 +410,7 @@ class TestMengerEmbeddability:
         pts = others[:4] + [np.array(p) for p in COUNTEREXAMPLE_TRIPLE] + others[4:]
         dm = divergence_matrix(pts, 2.5)
         assert dm.n == 12
-        assert not menger_embeddability(dm)
+        assert not self.subset_loop(dm.d)
         assert not negative_type_check(dm).is_negative_type
 
 
